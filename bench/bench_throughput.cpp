@@ -1,8 +1,10 @@
-// Fleet design throughput gate: workers-designed-per-second for the
-// scalar reference batch (AoS), the vectorized batch (AoS out), and the
-// SoA fleet path (SIMD and forced-portable), on a steady-state fleet
-// whose class tables are already cached — the serve/stackelberg redesign
-// hot path this PR optimizes.
+// Fleet design throughput gate: workers designed per second by
+// design_fleet (the batch design engine) and by design_contracts_batch
+// (its AoS adapter), against the reference per-worker resolve_design over
+// the same cached class tables, on a steady-state fleet whose tables are
+// cached before any timed run — the serve/stackelberg redesign hot path.
+// Gated: design_fleet / reference >= min_ratio, reference >= min_scalar_wps,
+// and fleet and batch bitwise-identical to design_contract on a subsample.
 //
 // This binary *refuses to publish numbers from non-Release builds*: the
 // library it links must have been compiled with CMAKE_BUILD_TYPE=Release
@@ -25,13 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
 #include "contract/fleet_soa.hpp"
-#include "contract/ksweep.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef CCD_BUILD_TYPE
@@ -131,78 +133,71 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(1);  // single-thread numbers: gate kernel speed,
                              // not core count
   contract::DesignCache cache;
+  const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
 
   // Steady state: all class tables cached before any timed run.
-  for (std::size_t c = 0; c < classes && c < workers; ++c) {
-    cache.table_for(specs[c]);
+  std::vector<std::shared_ptr<const contract::DesignTable>> tables;
+  for (std::size_t c = 0; c < fleet.classes(); ++c) {
+    tables.push_back(cache.table_for(fleet.class_spec(c)));
   }
 
-  contract::BatchOptions scalar_opts;
-  scalar_opts.pool = &pool;
-  scalar_opts.cache = &cache;
-  scalar_opts.kernel = contract::SweepKernel::kScalar;
-  std::vector<contract::DesignResult> scalar_results;
-  const double scalar_wps = best_wps(workers, [&] {
-    scalar_results = contract::design_contracts_batch(specs, scalar_opts);
+  // Reference: one resolve_design per worker over its class's table.
+  std::vector<contract::DesignResult> reference_results(workers);
+  const double reference_wps = best_wps(workers, [&] {
+    for (std::size_t i = 0; i < workers; ++i) {
+      reference_results[i] =
+          contract::resolve_design(specs[i], *tables[fleet.class_of[i]]);
+    }
   });
 
-  contract::BatchOptions simd_opts = scalar_opts;
-  simd_opts.kernel = contract::SweepKernel::kSimd;
-  std::vector<contract::DesignResult> simd_results;
-  const double simd_batch_wps = best_wps(workers, [&] {
-    simd_results = contract::design_contracts_batch(specs, simd_opts);
-  });
-
-  const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
   contract::FleetOptions fleet_opts;
   fleet_opts.pool = &pool;
   fleet_opts.cache = &cache;
   contract::FleetDesignResult fleet_result;
-  const double fleet_simd_wps = best_wps(workers, [&] {
+  const double fleet_wps = best_wps(workers, [&] {
     fleet_result = contract::design_fleet(fleet, fleet_opts);
   });
 
-  contract::FleetOptions portable_opts = fleet_opts;
-  portable_opts.force_portable = true;
-  contract::FleetDesignResult portable_result;
-  const double fleet_portable_wps = best_wps(workers, [&] {
-    portable_result = contract::design_fleet(fleet, portable_opts);
+  contract::BatchOptions batch_opts;
+  batch_opts.pool = &pool;
+  batch_opts.cache = &cache;
+  std::vector<contract::DesignResult> batch_results;
+  const double batch_wps = best_wps(workers, [&] {
+    batch_results = contract::design_contracts_batch(specs, batch_opts);
   });
 
-  // Self-check on a subsample: the scalar batch must be bitwise-identical
-  // to the uncached design_contract reference; the SIMD fleet result is
-  // compared bitwise too and reported (expected identical on this
-  // machine's no-contraction build; only the scalar flag gates).
-  bool scalar_bitwise = true;
-  bool simd_bitwise = true;
+  // Self-check on a subsample: the reference, the fleet SoA outputs and
+  // the batch results must all be bitwise-identical to the uncached
+  // design_contract.
+  const auto same_design = [](const contract::DesignResult& a,
+                              const contract::DesignResult& b) {
+    return a.k_opt == b.k_opt &&
+           same_bits(a.requester_utility, b.requester_utility) &&
+           same_bits(a.upper_bound, b.upper_bound) &&
+           same_bits(a.lower_bound, b.lower_bound) &&
+           same_bits(a.response.effort, b.response.effort) &&
+           same_bits(a.response.compensation, b.response.compensation);
+  };
+  bool bitwise = true;
   const std::size_t stride = std::max<std::size_t>(1, workers / 64);
   for (std::size_t i = 0; i < workers; i += stride) {
     const contract::DesignResult reference =
         contract::design_contract(specs[i]);
-    const contract::DesignResult& s = scalar_results[i];
-    scalar_bitwise =
-        scalar_bitwise && s.k_opt == reference.k_opt &&
-        same_bits(s.requester_utility, reference.requester_utility) &&
-        same_bits(s.upper_bound, reference.upper_bound) &&
-        same_bits(s.lower_bound, reference.lower_bound) &&
-        same_bits(s.response.effort, reference.response.effort) &&
-        same_bits(s.response.compensation, reference.response.compensation);
-    simd_bitwise =
-        simd_bitwise && fleet_result.k_opt[i] == reference.k_opt &&
-        same_bits(fleet_result.requester_utility[i],
-                  reference.requester_utility) &&
-        same_bits(fleet_result.upper_bound[i], reference.upper_bound) &&
-        same_bits(fleet_result.lower_bound[i], reference.lower_bound) &&
-        same_bits(fleet_result.effort[i], reference.response.effort) &&
-        same_bits(fleet_result.compensation[i],
-                  reference.response.compensation);
+    bitwise = bitwise && same_design(reference_results[i], reference) &&
+              same_design(batch_results[i], reference) &&
+              fleet_result.resolved[i] != 0 &&
+              same_design(fleet_result.result_at(fleet, i), reference) &&
+              same_bits(fleet_result.requester_utility[i],
+                        reference.requester_utility) &&
+              same_bits(fleet_result.compensation[i],
+                        reference.response.compensation);
   }
 
-  const double ratio = scalar_wps > 0.0 ? fleet_simd_wps / scalar_wps : 0.0;
+  const double ratio = reference_wps > 0.0 ? fleet_wps / reference_wps : 0.0;
   const bool ratio_ok = ratio >= min_ratio;
-  const bool floor_ok = scalar_wps >= min_scalar_wps;
+  const bool floor_ok = reference_wps >= min_scalar_wps;
   const bool release = build_type == "release";
-  const bool pass = release && ratio_ok && floor_ok && scalar_bitwise;
+  const bool pass = release && ratio_ok && floor_ok && bitwise;
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -211,33 +206,25 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"library_build_type\": \"%s\",\n", build_type.c_str());
-  std::fprintf(out, "  \"simd_kernel\": \"%s\",\n",
-               contract::simd_kernel_name().c_str());
   std::fprintf(out, "  \"workers\": %zu,\n", workers);
   std::fprintf(out, "  \"classes\": %zu,\n", classes);
   std::fprintf(out, "  \"intervals\": %zu,\n", intervals);
-  std::fprintf(out, "  \"scalar_batch_wps\": %.1f,\n", scalar_wps);
-  std::fprintf(out, "  \"simd_batch_wps\": %.1f,\n", simd_batch_wps);
-  std::fprintf(out, "  \"fleet_simd_wps\": %.1f,\n", fleet_simd_wps);
-  std::fprintf(out, "  \"fleet_portable_wps\": %.1f,\n", fleet_portable_wps);
-  std::fprintf(out, "  \"simd_over_scalar_ratio\": %.3f,\n", ratio);
+  std::fprintf(out, "  \"reference_wps\": %.1f,\n", reference_wps);
+  std::fprintf(out, "  \"fleet_wps\": %.1f,\n", fleet_wps);
+  std::fprintf(out, "  \"batch_wps\": %.1f,\n", batch_wps);
+  std::fprintf(out, "  \"fleet_over_reference_ratio\": %.3f,\n", ratio);
   std::fprintf(out, "  \"min_ratio\": %.3f,\n", min_ratio);
   std::fprintf(out, "  \"min_scalar_wps\": %.1f,\n", min_scalar_wps);
-  std::fprintf(out, "  \"scalar_bitwise_vs_reference\": %s,\n",
-               scalar_bitwise ? "true" : "false");
-  std::fprintf(out, "  \"simd_bitwise_vs_reference\": %s,\n",
-               simd_bitwise ? "true" : "false");
+  std::fprintf(out, "  \"bitwise_vs_reference\": %s,\n",
+               bitwise ? "true" : "false");
   std::fprintf(out, "  \"pass\": %s\n", pass ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
 
   std::printf(
-      "bench_throughput (%s, simd=%s): scalar %.0f w/s, simd batch %.0f "
-      "w/s, fleet simd %.0f w/s, fleet portable %.0f w/s, ratio %.2fx "
-      "(need >= %.2fx), scalar bitwise %s, simd bitwise %s -> %s\n",
-      build_type.c_str(), contract::simd_kernel_name().c_str(), scalar_wps,
-      simd_batch_wps, fleet_simd_wps, fleet_portable_wps, ratio, min_ratio,
-      scalar_bitwise ? "ok" : "FAIL", simd_bitwise ? "ok" : "differs",
-      pass ? "PASS" : "FAIL");
+      "bench_throughput (%s): reference %.0f w/s, fleet %.0f w/s, batch "
+      "%.0f w/s, ratio %.2fx (need >= %.2fx), bitwise %s -> %s\n",
+      build_type.c_str(), reference_wps, fleet_wps, batch_wps, ratio,
+      min_ratio, bitwise ? "ok" : "FAIL", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

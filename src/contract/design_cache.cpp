@@ -6,10 +6,6 @@
 namespace ccd::contract {
 namespace {
 
-// Table passed for weight-excluded specs; resolve_design never reads it
-// when spec.weight <= 0.
-const DesignTable kEmptyTable{};
-
 // Process-wide atomic mirrors of every cache's counters (`ccd.cache.*`).
 // Handles are resolved once; increments are lock-free and disarm to a
 // branch (or compile out entirely under -DCCD_NO_METRICS).
@@ -106,13 +102,6 @@ DesignCacheStats& DesignCacheStats::operator+=(const DesignCacheStats& other) {
   return *this;
 }
 
-DesignResult DesignCache::design(const SubproblemSpec& spec) {
-  spec.validate();
-  if (spec.weight <= 0.0) return resolve_design(spec, kEmptyTable);
-  const std::shared_ptr<const DesignTable> table = table_for(spec);
-  return resolve_design(spec, *table);
-}
-
 std::shared_ptr<const DesignTable> DesignCache::table_for(
     const SubproblemSpec& spec, bool* was_hit) {
   CacheMetrics& cm = CacheMetrics::get();
@@ -191,8 +180,6 @@ void DesignCache::record(const DesignCacheStats& delta) {
   CacheMetrics::get().add(delta);
 }
 
-// design_contracts_batch lives in fleet_soa.cpp: it is reimplemented on
-// the FleetSoA grouping and shares its table-acquisition and stats
-// accounting with design_fleet.
+// design_contracts_batch lives in fleet_soa.cpp, next to design_fleet.
 
 }  // namespace ccd::contract

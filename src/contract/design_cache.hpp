@@ -1,16 +1,18 @@
-// Spec-keyed memoization of the contract designer's k-sweep, and a batched
-// front end for fleet-scale design.
+// Spec-keyed memoization of the contract designer's k-sweep, and the AoS
+// batch front end for fleet-scale design.
 //
 // The pipeline's decomposition (§IV-B) hands every worker of the same
 // detected class an identical (psi, beta, omega, mu, intervals, domain)
 // subproblem — only the Eq. 5 weight differs. The k-sweep
 // (build_candidate + best_response per k) is weight-independent, so the
-// cache computes one DesignTable per distinct spec and resolves each
-// worker as a cheap argmax_k (weight * feedback_k - mu * pay_k) over the
-// cached per-k table. Results are bitwise-identical to the uncached
-// per-worker design_contract() path (tested), and independent of thread
-// count: parallelism only reorders which spec computes its table first,
-// never what the table contains.
+// cache holds one DesignTable per distinct spec and each worker resolves
+// as a cheap argmax_k (weight * feedback_k - mu * pay_k) over the cached
+// per-k table. Table construction is independent of thread count:
+// parallelism only reorders which spec computes its table first, never
+// what the table contains.
+//
+// design_contracts_batch is a thin array-of-structs adapter over
+// design_fleet (fleet_soa.hpp), the one batch design engine.
 //
 // Keys compare doubles bitwise. That is deliberate: the sharing pattern we
 // exploit is "same class fit object copied into many specs", which is
@@ -25,7 +27,6 @@
 #include <vector>
 
 #include "contract/designer.hpp"
-#include "contract/ksweep.hpp"
 #include "util/metrics.hpp"
 
 namespace ccd::util {
@@ -101,10 +102,6 @@ struct DesignCacheStats {
 /// deterministic.
 class DesignCache {
  public:
-  /// Design one contract through the cache. Equivalent (bitwise) to
-  /// design_contract(spec).
-  DesignResult design(const SubproblemSpec& spec);
-
   /// Fetch (or compute and insert) the table for a spec. `was_hit`, when
   /// non-null, reports whether the table already existed.
   std::shared_ptr<const DesignTable> table_for(const SubproblemSpec& spec,
@@ -117,9 +114,6 @@ class DesignCache {
   void clear();
 
  private:
-  friend std::vector<DesignResult> design_contracts_batch(
-      const std::vector<SubproblemSpec>&, const struct BatchOptions&,
-      DesignCacheStats*);
   friend FleetDesignResult design_fleet(const FleetSoA&, const FleetOptions&,
                                         DesignCacheStats*);
 
@@ -132,38 +126,34 @@ class DesignCache {
   DesignCacheStats stats_;
 };
 
+/// Not read by the library: BatchOptions::kernel below is still set by the
+/// frozen perfbench sources, which is the only reason this type exists.
+enum class SweepKernel { kScalar };
+
 struct BatchOptions {
   /// Pool for the fan-out; null uses util::shared_pool().
   util::ThreadPool* pool = nullptr;
   /// Cache reused across calls (e.g. across pipeline rounds); null gives
   /// the call a private cache.
   DesignCache* cache = nullptr;
-  /// When non-null, each distinct-spec k-sweep records its wall time here
-  /// (microseconds) — the batched path's per-community/per-class solve
-  /// spans. Per-worker resolves are not timed: they are orders of
-  /// magnitude cheaper than a sweep and the clock reads would dominate.
-  util::metrics::Histogram* sweep_histogram = nullptr;
   /// Cooperative cancellation (null runs to completion). Polled between
-  /// k-sweeps and per resolved worker; after cancellation the batch
-  /// returns with the remaining results left default-constructed. Callers
-  /// use `resolved` to tell completed entries apart.
+  /// k-sweeps and between classes; after cancellation the batch returns
+  /// with the remaining results left default-constructed. Callers use
+  /// `resolved` to tell completed entries apart.
   const util::CancellationToken* cancel = nullptr;
   /// When non-null, resized to specs.size(); (*resolved)[i] is 1 iff
   /// results[i] was actually designed (always all-ones unless cancelled).
   std::vector<std::uint8_t>* resolved = nullptr;
-  /// Per-worker resolve kernel. Defaults to the scalar reference path,
-  /// which is bitwise-identical to design_contract on every build — the
-  /// batch API's documented contract (checkpoint/resume and the wire
-  /// protocol replay against it). kSimd/kAuto select the vectorized
-  /// tableau resolve (see ksweep.hpp): identical results on builds without
-  /// floating-point contraction, last-ulp differences possible with it.
+  /// Ignored; kept only because the frozen perfbench sources assign it.
   SweepKernel kernel = SweepKernel::kScalar;
 };
 
-/// Design contracts for a whole fleet: one k-sweep per distinct spec
-/// (computed in parallel), then a parallel per-worker resolve. Output
+/// Design contracts for a whole fleet through design_fleet and return them
+/// as AoS DesignResults (per-k utility_by_k / pay_by_k included). Output
 /// order matches `specs`, and results[i] is bitwise-identical to
 /// design_contract(specs[i]) regardless of thread count or cache state.
+/// When any worker fails (invalid spec, throwing sweep, injected fault),
+/// the error of the lowest-index failed worker is rethrown after the call.
 /// `stats`, when non-null, receives this call's counters (prior contents
 /// overwritten).
 std::vector<DesignResult> design_contracts_batch(

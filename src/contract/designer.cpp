@@ -1,11 +1,9 @@
 #include "contract/designer.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/fault_injection.hpp"
 
 namespace ccd::contract {
 
@@ -44,36 +42,6 @@ DesignResult excluded_result(const SubproblemSpec& spec) {
   result.response = best_response(result.contract, spec.psi, spec.incentives);
   result.requester_utility = 0.0;
   return result;
-}
-
-/// Stable per-spec key for fault injection: a deterministic mix over the
-/// bit patterns of *every* field that distinguishes one subproblem from
-/// another. The former key folded in only weight, mu, and intervals, so
-/// specs differing only in psi, beta, or omega (e.g. the per-class fits of
-/// one fleet) collided on the same injection site key and could not be
-/// targeted independently.
-std::uint64_t fault_key(const SubproblemSpec& spec) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-  };
-  const auto mix_double = [&mix](double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  mix_double(spec.psi.r2());
-  mix_double(spec.psi.r1());
-  mix_double(spec.psi.r0());
-  mix_double(spec.incentives.beta);
-  mix_double(spec.incentives.omega);
-  mix_double(spec.weight);
-  mix_double(spec.mu);
-  mix(static_cast<std::uint64_t>(spec.intervals));
-  mix_double(spec.effort_domain);
-  return h;
 }
 
 }  // namespace
@@ -122,8 +90,6 @@ DesignResult resolve_design(const SubproblemSpec& spec,
   // "automatically eliminated" workers get the zero contract). The
   // requester drops their feedback entirely: zero utility, zero pay.
   if (spec.weight <= 0.0) return excluded_result(spec);
-
-  CCD_FAULT_POINT("contract.design", fault_key(spec), ContractError);
 
   const std::size_t m = spec.intervals;
   CCD_CHECK_MSG(table.candidates.size() == m,

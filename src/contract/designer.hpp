@@ -17,7 +17,8 @@
 // factored out as build_design_table() and shared across all workers of a
 // detected class; resolve_design() scalarizes a table for one worker's
 // weight. design_contract() composes the two and is the reference
-// sequential path; design_cache.hpp provides the memoized batch front end.
+// sequential path; design_fleet (fleet_soa.hpp) is the batch engine and is
+// bitwise-identical to it.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,13 @@
 #include "contract/fleet_soa.hpp"
 
 #include <atomic>
+#include <bit>
 #include <unordered_map>
 #include <utility>
 
+#include "contract/ksweep.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ccd::contract {
@@ -19,7 +22,6 @@ FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs) {
       class_of_key;
   std::vector<std::size_t> counts;
   for (std::size_t i = 0; i < n; ++i) {
-    specs[i].validate();
     const DesignCacheKey key = DesignCacheKey::of(specs[i]);
     const auto [it, inserted] = class_of_key.emplace(key, fleet.classes());
     if (inserted) {
@@ -78,50 +80,9 @@ SubproblemSpec FleetSoA::worker_spec(std::size_t i) const {
   return spec;
 }
 
-FleetTableSet acquire_fleet_tables(
-    const FleetSoA& fleet, DesignCache& cache, util::ThreadPool& pool,
-    util::metrics::Histogram* sweep_histogram,
-    const util::CancellationToken* cancel,
-    const std::vector<SubproblemSpec>* original_specs) {
-  FleetTableSet ts;
-  ts.tables.assign(fleet.classes(), nullptr);
-
-  std::vector<std::size_t> cacheable;
-  cacheable.reserve(fleet.classes());
-  for (std::size_t c = 0; c < fleet.classes(); ++c) {
-    if (fleet.first_positive[c] != FleetSoA::npos) cacheable.push_back(c);
-  }
-
-  std::atomic<std::size_t> computed{0};
-  std::atomic<std::uint64_t> steps_computed{0};
-  pool.parallel_for(cacheable.size(), [&](std::size_t g) {
-    const std::size_t c = cacheable[g];
-    const std::size_t rep = fleet.first_positive[c];
-    bool was_hit = false;
-    {
-      // Span of this class's design (see BatchOptions::sweep_histogram; a
-      // cache hit records the cheap lookup instead of a sweep).
-      util::metrics::ScopedTimer timer(sweep_histogram);
-      if (original_specs != nullptr) {
-        ts.tables[c] = cache.table_for((*original_specs)[rep], &was_hit);
-      } else {
-        ts.tables[c] = cache.table_for(fleet.worker_spec(rep), &was_hit);
-      }
-    }
-    if (!was_hit) {
-      computed.fetch_add(1, std::memory_order_relaxed);
-      steps_computed.fetch_add(fleet.intervals[c], std::memory_order_relaxed);
-    }
-  }, cancel);
-  ts.sweeps_computed = computed.load();
-  ts.sweep_steps_computed = steps_computed.load();
-  return ts;
-}
-
 namespace {
 
-// Both epilogues scatter a worker's BestResponse fields into the SoA
-// output.
+// Scatter a worker's BestResponse fields into the SoA output.
 void write_response(FleetDesignResult& out, std::size_t i,
                     const BestResponse& response) {
   out.effort[i] = response.effort;
@@ -131,66 +92,121 @@ void write_response(FleetDesignResult& out, std::size_t i,
   out.response_interval[i] = response.interval;
 }
 
-// design_contracts_batch's per-call accounting, computed from the fleet
-// arrays (see that function's comments for the rationale). Returns the
-// per-call snapshot and the `extra` delta the caller records into the
-// cache for per-worker resolutions served without touching the map.
+/// Stable per-worker key for the "contract.design" fault site: a
+/// deterministic mix over the bit patterns of every field that
+/// distinguishes one subproblem from another (psi, beta, omega, weight,
+/// mu, intervals, effort domain), so the per-class fits of one fleet can
+/// be targeted independently.
+std::uint64_t fault_key(const SubproblemSpec& spec) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+  };
+  const auto mix_double = [&mix](double value) {
+    mix(std::bit_cast<std::uint64_t>(value));
+  };
+  mix_double(spec.psi.r2());
+  mix_double(spec.psi.r1());
+  mix_double(spec.psi.r0());
+  mix_double(spec.incentives.beta);
+  mix_double(spec.incentives.omega);
+  mix_double(spec.weight);
+  mix_double(spec.mu);
+  mix(static_cast<std::uint64_t>(spec.intervals));
+  mix_double(spec.effort_domain);
+  return h;
+}
+
+// The call's cache accounting, computed from the fleet arrays. Returns the
+// per-call snapshot and the `extra` delta recorded into the cache for
+// per-worker resolutions served without touching the map (one lookup per
+// resolved positive-weight worker, of which the class's own table_for
+// already counted one).
 struct FleetCallStats {
   DesignCacheStats call;
   DesignCacheStats extra;
 };
 
 FleetCallStats fleet_call_stats(const FleetSoA& fleet,
-                                const std::vector<std::uint8_t>& resolved,
-                                const FleetTableSet& ts) {
+                                const FleetDesignResult& out,
+                                std::size_t sweeps_computed,
+                                std::size_t sweep_steps_computed) {
   std::size_t cacheable = 0;
   std::size_t cacheable_steps = 0;
   for (std::size_t i = 0; i < fleet.workers(); ++i) {
-    if (fleet.weight[i] <= 0.0 || !resolved[i]) continue;
+    if (fleet.weight[i] <= 0.0 || !out.resolved[i]) continue;
     ++cacheable;
     cacheable_steps += fleet.intervals[fleet.class_of[i]];
   }
 
-  FleetCallStats out;
-  out.call.lookups = cacheable;
-  out.call.misses = ts.sweeps_computed;
-  out.call.hits = out.call.lookups > out.call.misses
-                      ? out.call.lookups - out.call.misses : 0;
-  out.call.sweep_steps_computed =
-      static_cast<std::size_t>(ts.sweep_steps_computed);
-  out.call.sweep_steps_avoided =
-      cacheable_steps > out.call.sweep_steps_computed
-          ? cacheable_steps - out.call.sweep_steps_computed : 0;
+  FleetCallStats stats;
+  stats.call.lookups = cacheable;
+  stats.call.misses = sweeps_computed;
+  stats.call.hits = stats.call.lookups > stats.call.misses
+                        ? stats.call.lookups - stats.call.misses : 0;
+  stats.call.sweep_steps_computed = sweep_steps_computed;
+  stats.call.sweep_steps_avoided =
+      cacheable_steps > sweep_steps_computed
+          ? cacheable_steps - sweep_steps_computed : 0;
 
   std::size_t classes_ran = 0;
   std::size_t classes_ran_steps = 0;
   for (std::size_t c = 0; c < fleet.classes(); ++c) {
-    if (fleet.first_positive[c] == FleetSoA::npos) continue;
-    if (ts.tables[c] == nullptr) continue;  // sweep skipped by cancellation
+    if (out.tables[c] == nullptr) continue;  // excluded, failed or cancelled
     ++classes_ran;
     classes_ran_steps += fleet.intervals[c];
   }
-  out.extra.lookups = cacheable > classes_ran ? cacheable - classes_ran : 0;
-  out.extra.hits = out.extra.lookups;
-  out.extra.sweep_steps_avoided =
-      cacheable_steps > classes_ran_steps ? cacheable_steps - classes_ran_steps
-                                          : 0;
-  return out;
+  stats.extra.lookups = cacheable > classes_ran ? cacheable - classes_ran : 0;
+  stats.extra.hits = stats.extra.lookups;
+  stats.extra.sweep_steps_avoided =
+      cacheable_steps > classes_ran_steps
+          ? cacheable_steps - classes_ran_steps : 0;
+  return stats;
 }
 
 }  // namespace
 
 DesignResult FleetDesignResult::result_at(const FleetSoA& fleet,
                                           std::size_t i) const {
-  const SubproblemSpec spec = fleet.worker_spec(i);
-  if (spec.weight <= 0.0) {
-    const DesignTable empty;
-    return resolve_design(spec, empty);
+  if (error[i] != nullptr) std::rethrow_exception(error[i]);
+  CCD_CHECK_MSG(resolved[i] != 0,
+                "result_at: worker was not designed (cancelled)");
+  DesignResult result;
+  result.excluded = excluded[i] != 0;
+  result.response = BestResponse{effort[i], worker_utility[i], feedback[i],
+                                 compensation[i], response_interval[i]};
+  const double w = fleet.weight[i];
+  // Weight exclusion carries no per-k diagnostics (as resolve_design).
+  if (w <= 0.0) return result;
+
+  const std::size_t c = fleet.class_of[i];
+  const std::vector<CandidateOutcome>& candidates = tables[c]->candidates;
+  const std::size_t m = candidates.size();
+  const double mu = fleet.mu[c];
+  result.utility_by_k.resize(m);
+  result.pay_by_k.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const BestResponse& response = candidates[k].response;
+    result.utility_by_k[k] = w * response.feedback - mu * response.compensation;
+    result.pay_by_k[k] = response.compensation;
   }
-  const std::shared_ptr<const DesignTable>& table = tables[fleet.class_of[i]];
-  CCD_CHECK_MSG(table != nullptr,
-                "result_at: worker's class sweep was skipped (cancelled)");
-  return resolve_design(spec, *table);
+  // The §V fallback keeps the diagnostics but posts the zero contract.
+  if (result.excluded) return result;
+
+  result.k_opt = k_opt[i];
+  result.contract = candidates[k_opt[i] - 1].contract;
+  result.requester_utility = requester_utility[i];
+  result.upper_bound = upper_bound[i];
+  result.lower_bound = lower_bound[i];
+  return result;
+}
+
+void FleetDesignResult::rethrow_first_error() const {
+  for (const std::exception_ptr& e : error) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
 }
 
 FleetDesignResult design_fleet(const FleetSoA& fleet,
@@ -200,6 +216,7 @@ FleetDesignResult design_fleet(const FleetSoA& fleet,
   DesignCache& cache = options.cache ? *options.cache : local_cache;
   util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
   const std::size_t n = fleet.workers();
+  const std::size_t classes = fleet.classes();
 
   FleetDesignResult out;
   out.k_opt.assign(n, 0);
@@ -213,95 +230,114 @@ FleetDesignResult design_fleet(const FleetSoA& fleet,
   out.response_interval.assign(n, 0);
   out.excluded.assign(n, 0);
   out.resolved.assign(n, 0);
+  out.error.assign(n, nullptr);
+  out.tables.assign(classes, nullptr);
 
-  FleetTableSet ts = acquire_fleet_tables(fleet, cache, pool,
-                                          options.sweep_histogram,
-                                          options.cancel);
-  out.tables = ts.tables;
+  // One task per class, distinct classes in parallel (classes write
+  // disjoint output indices): a k-sweep through the cache when the class
+  // has a positive-weight worker, one resolve_class pass over the class's
+  // contiguous weight slice, then a scatter into the SoA outputs.
+  std::atomic<std::size_t> computed{0};
+  std::atomic<std::size_t> steps_computed{0};
+  util::FaultInjector& injector = util::FaultInjector::instance();
+  pool.parallel_for(classes, [&](std::size_t c) {
+    const std::size_t begin = fleet.class_begin[c];
+    const std::size_t count = fleet.class_begin[c + 1] - begin;
+    const std::size_t* members = fleet.order.data() + begin;
+    const double* weights = fleet.grouped_weight.data() + begin;
+    const SubproblemSpec cls = fleet.class_spec(c);
 
-  if (resolve_kernel(options.kernel) == SweepKernel::kScalar) {
-    // Reference epilogue: one resolve_design per worker, scattered into
-    // the SoA arrays. Bitwise design_contract semantics on every build.
-    pool.parallel_for(n, [&](std::size_t i) {
-      const SubproblemSpec spec = fleet.worker_spec(i);
-      DesignResult result;
-      if (spec.weight <= 0.0) {
-        const DesignTable empty;
-        result = resolve_design(spec, empty);
-      } else if (ts.tables[fleet.class_of[i]] != nullptr) {
-        result = resolve_design(spec, *ts.tables[fleet.class_of[i]]);
-      } else {
-        return;  // class sweep skipped by cancellation
-      }
-      out.k_opt[i] = result.k_opt;
-      out.requester_utility[i] = result.requester_utility;
-      out.upper_bound[i] = result.upper_bound;
-      out.lower_bound[i] = result.lower_bound;
-      write_response(out, i, result.response);
-      out.excluded[i] = result.excluded ? 1 : 0;
-      out.resolved[i] = 1;
-    }, options.cancel);
-  } else {
-    // Vectorized epilogue: per class, build the tableau once and resolve
-    // the class's contiguous weight slice in one kernel pass. Classes
-    // write disjoint output indices, so they parallelize freely.
-    pool.parallel_for(fleet.classes(), [&](std::size_t c) {
-      const std::size_t begin = fleet.class_begin[c];
-      const std::size_t count = fleet.class_begin[c + 1] - begin;
-      if (count == 0) return;
-      const std::shared_ptr<const DesignTable>& table = ts.tables[c];
-      const bool has_positive = fleet.first_positive[c] != FleetSoA::npos;
-      if (table == nullptr && has_positive) {
-        return;  // sweep skipped by cancellation: workers stay unresolved
-      }
-      const SubproblemSpec cls = fleet.class_spec(c);
+    // design_contract validates before its weight shortcut, so an invalid
+    // spec fails every member of its class. The zero-contract response
+    // (the §V exclusion outcome) is weight-independent: one per class.
+    BestResponse zero;
+    try {
+      cls.validate();
+      zero = best_response(Contract(), cls.psi, cls.incentives);
+    } catch (...) {
+      const std::exception_ptr error = std::current_exception();
+      for (std::size_t j = 0; j < count; ++j) out.error[members[j]] = error;
+      return;
+    }
 
-      if (table == nullptr) {
-        // Every member is weight-excluded: the §V zero contract, whose
-        // best response is class-wide (computed once, not per worker).
-        const BestResponse zero =
-            best_response(Contract(), cls.psi, cls.incentives);
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t i = fleet.order[begin + j];
-          write_response(out, i, zero);
-          out.excluded[i] = 1;
-          out.resolved[i] = 1;
+    // Per-thread scratch, reset per class: steady-state calls allocate
+    // nothing here. The class body never re-enters the pool, so no other
+    // class can reset it while these spans are live.
+    thread_local ScratchArena arena;
+    thread_local std::vector<std::size_t> k_opt;
+    arena.reset();
+    ClassTableau tableau;
+    double* utility = nullptr;
+    double* upper = nullptr;
+    // A throwing sweep fails the class's positive-weight workers only.
+    std::exception_ptr sweep_failure;
+    if (fleet.first_positive[c] != FleetSoA::npos) {
+      try {
+        bool was_hit = false;
+        {
+          // A cache hit records the cheap lookup instead of a sweep.
+          util::metrics::ScopedTimer timer(options.sweep_histogram);
+          out.tables[c] = cache.table_for(
+              fleet.worker_spec(fleet.first_positive[c]), &was_hit);
         }
-        return;
-      }
-
-      ScratchArena arena;
-      const ClassTableau tableau = build_class_tableau(cls, *table, arena);
-      double* utility = arena.doubles(count);
-      double* upper = arena.doubles(count);
-      std::vector<std::size_t> k_opt(count);
-      resolve_class(tableau, fleet.grouped_weight.data() + begin, count,
-                    ResolveOut{k_opt.data(), utility, upper},
-                    options.force_portable);
-
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = fleet.order[begin + j];
-        const double w = fleet.grouped_weight[begin + j];
-        if (w <= 0.0 || utility[j] < 0.0) {
-          // Weight exclusion or the §V max_k utility < 0 fallback; the
-          // zero-contract response is shared class-wide.
-          write_response(out, i, tableau.zero_response);
-          out.excluded[i] = 1;
-        } else {
-          const std::size_t k = k_opt[j];
-          write_response(out, i, table->candidates[k - 1].response);
-          out.k_opt[i] = k;
-          out.requester_utility[i] = utility[j];
-          out.upper_bound[i] = upper[j];
-          out.lower_bound[i] = w * tableau.lb_feedback[k - 1] -
-                               tableau.mu * tableau.lb_pay[k - 1];
+        if (!was_hit) {
+          computed.fetch_add(1, std::memory_order_relaxed);
+          steps_computed.fetch_add(fleet.intervals[c],
+                                   std::memory_order_relaxed);
         }
+        tableau = build_class_tableau(cls, *out.tables[c], arena);
+        k_opt.resize(count);
+        utility = arena.doubles(count);
+        upper = arena.doubles(count);
+        resolve_class(tableau, weights, count,
+                      ResolveOut{k_opt.data(), utility, upper});
+      } catch (...) {
+        sweep_failure = std::current_exception();
+      }
+    }
+    const std::shared_ptr<const DesignTable>& table = out.tables[c];
+
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t i = members[j];
+      const double w = weights[j];
+      if (w <= 0.0) {
+        write_response(out, i, zero);
+        out.excluded[i] = 1;
         out.resolved[i] = 1;
+        continue;
       }
-    }, options.cancel);
-  }
+      if (sweep_failure != nullptr) {
+        out.error[i] = sweep_failure;
+        continue;
+      }
+      if (injector.armed()) {
+        try {
+          CCD_FAULT_POINT("contract.design", fault_key(fleet.worker_spec(i)),
+                          ContractError);
+        } catch (...) {
+          out.error[i] = std::current_exception();
+          continue;
+        }
+      }
+      if (utility[j] < 0.0) {
+        // §V fallback: even the best candidate loses the requester money.
+        write_response(out, i, zero);
+        out.excluded[i] = 1;
+      } else {
+        const std::size_t k = k_opt[j];
+        write_response(out, i, table->candidates[k - 1].response);
+        out.k_opt[i] = k;
+        out.requester_utility[i] = utility[j];
+        out.upper_bound[i] = upper[j];
+        out.lower_bound[i] = w * tableau.lb_feedback[k - 1] -
+                             tableau.mu * tableau.lb_pay[k - 1];
+      }
+      out.resolved[i] = 1;
+    }
+  }, options.cancel);
 
-  const FleetCallStats fcs = fleet_call_stats(fleet, out.resolved, ts);
+  const FleetCallStats fcs =
+      fleet_call_stats(fleet, out, computed.load(), steps_computed.load());
   if (stats) *stats = fcs.call;
   cache.record(fcs.extra);
   return out;
@@ -310,126 +346,20 @@ FleetDesignResult design_fleet(const FleetSoA& fleet,
 std::vector<DesignResult> design_contracts_batch(
     const std::vector<SubproblemSpec>& specs, const BatchOptions& options,
     DesignCacheStats* stats) {
-  DesignCache local_cache;
-  DesignCache& cache = options.cache ? *options.cache : local_cache;
-  util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
-
-  const std::size_t n = specs.size();
-  std::vector<DesignResult> results(n);
-  std::vector<std::uint8_t> resolved_local;
-  std::vector<std::uint8_t>& resolved =
-      options.resolved ? *options.resolved : resolved_local;
-  resolved.assign(n, 0);
-
-  // SoA grouping: a class is the canonical weight-excluded cache key, in
-  // first-occurrence order, with each class's workers gathered into a
-  // contiguous CSR slice. Validates every spec in input order.
   const FleetSoA fleet = FleetSoA::from_specs(specs);
+  FleetOptions fleet_options;
+  fleet_options.pool = options.pool;
+  fleet_options.cache = options.cache;
+  fleet_options.cancel = options.cancel;
+  const FleetDesignResult designed = design_fleet(fleet, fleet_options, stats);
+  designed.rethrow_first_error();
 
-  // One k-sweep per class that has a positive-weight worker, distinct
-  // classes in parallel. The representative specs are the caller's own
-  // objects, so what reaches cache.table_for is unchanged from the
-  // pre-SoA batch (bit patterns and all).
-  const FleetTableSet ts = acquire_fleet_tables(fleet, cache, pool,
-                                                options.sweep_histogram,
-                                                options.cancel, &specs);
-
-  if (resolve_kernel(options.kernel) == SweepKernel::kScalar) {
-    // Reference epilogue: per-worker resolve_design on the original spec,
-    // bitwise-identical to design_contract(specs[i]) on every build.
-    // Classes whose sweep was skipped by cancellation have a null table;
-    // their workers stay unresolved (results default-constructed).
-    static const DesignTable kEmptyTable{};
-    pool.parallel_for(n, [&](std::size_t i) {
-      if (specs[i].weight <= 0.0) {
-        // resolve_design never reads the table when weight <= 0.
-        results[i] = resolve_design(specs[i], kEmptyTable);
-      } else if (ts.tables[fleet.class_of[i]] != nullptr) {
-        results[i] = resolve_design(specs[i], *ts.tables[fleet.class_of[i]]);
-      } else {
-        return;
-      }
-      resolved[i] = 1;
-    }, options.cancel);
-  } else {
-    // Vectorized epilogue: one kernel pass per class, materialized back to
-    // AoS DesignResults with the per-k diagnostics rebuilt from the
-    // tableau columns via the scalar expressions. No fault point on this
-    // path (see ksweep.hpp).
-    pool.parallel_for(fleet.classes(), [&](std::size_t c) {
-      const std::size_t begin = fleet.class_begin[c];
-      const std::size_t count = fleet.class_begin[c + 1] - begin;
-      if (count == 0) return;
-      const bool has_positive = fleet.first_positive[c] != FleetSoA::npos;
-      const std::shared_ptr<const DesignTable>& table = ts.tables[c];
-      if (table == nullptr && has_positive) {
-        return;  // sweep skipped by cancellation: workers stay unresolved
-      }
-      const SubproblemSpec cls = fleet.class_spec(c);
-
-      if (table == nullptr) {
-        // Every member is weight-excluded; the zero-contract response is
-        // class-wide (weight-independent), computed once.
-        const BestResponse zero =
-            best_response(Contract(), cls.psi, cls.incentives);
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t i = fleet.order[begin + j];
-          results[i].excluded = true;
-          results[i].response = zero;
-          resolved[i] = 1;
-        }
-        return;
-      }
-
-      ScratchArena arena;
-      const ClassTableau tableau = build_class_tableau(cls, *table, arena);
-      const std::size_t m = tableau.m;
-      double* utility = arena.doubles(count);
-      double* upper = arena.doubles(count);
-      std::vector<std::size_t> k_opt(count);
-      resolve_class(tableau, fleet.grouped_weight.data() + begin, count,
-                    ResolveOut{k_opt.data(), utility, upper});
-
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = fleet.order[begin + j];
-        const double w = fleet.grouped_weight[begin + j];
-        DesignResult& result = results[i];
-        if (w <= 0.0) {
-          // Weight exclusion carries no per-k diagnostics (matching
-          // resolve_design); contract stays the default zero contract.
-          result.excluded = true;
-          result.response = tableau.zero_response;
-        } else {
-          result.utility_by_k.resize(m);
-          result.pay_by_k.assign(tableau.pay, tableau.pay + m);
-          for (std::size_t kk = 0; kk < m; ++kk) {
-            result.utility_by_k[kk] =
-                w * tableau.feedback[kk] - tableau.mu * tableau.pay[kk];
-          }
-          if (utility[j] < 0.0) {
-            // §V fallback: zero contract, diagnostics kept.
-            result.excluded = true;
-            result.response = tableau.zero_response;
-          } else {
-            const std::size_t k = k_opt[j];
-            const CandidateOutcome& candidate = table->candidates[k - 1];
-            result.contract = candidate.contract;
-            result.response = candidate.response;
-            result.k_opt = k;
-            result.requester_utility = utility[j];
-            result.upper_bound = upper[j];
-            result.lower_bound = w * tableau.lb_feedback[k - 1] -
-                                 tableau.mu * tableau.lb_pay[k - 1];
-          }
-        }
-        resolved[i] = 1;
-      }
-    }, options.cancel);
-  }
-
-  const FleetCallStats fcs = fleet_call_stats(fleet, resolved, ts);
-  if (stats) *stats = fcs.call;
-  cache.record(fcs.extra);
+  std::vector<DesignResult> results(specs.size());
+  util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
+  pool.parallel_for(specs.size(), [&](std::size_t i) {
+    if (designed.resolved[i]) results[i] = designed.result_at(fleet, i);
+  });
+  if (options.resolved) *options.resolved = designed.resolved;
   return results;
 }
 

@@ -1,28 +1,32 @@
-// Structure-of-arrays fleet layout for batch contract design.
+// Structure-of-arrays fleet layout and the batch contract-design engine.
 //
-// design_contracts_batch takes an array-of-structs (vector<SubproblemSpec>)
-// and regroups it on every call; FleetSoA is that grouping made into a
-// first-class, reusable layout. Workers are bucketed by spec class (the
-// weight-excluded DesignCacheKey — same canonicalization, so a class is
-// exactly a cache entry) with the per-class scalar fields in contiguous
-// arrays and the per-worker weights gathered contiguously per class (CSR).
-// One class then designs with a single k-sweep and one vectorized
-// resolve_class pass over its weight slice (see ksweep.hpp), and the
-// results land in SoA output arrays with no per-worker heap allocation.
+// FleetSoA buckets workers by spec class (the weight-excluded
+// DesignCacheKey — same canonicalization, so a class is exactly a cache
+// entry) with the per-class scalar fields in contiguous arrays and the
+// per-worker weights gathered contiguously per class (CSR). design_fleet
+// then designs each class with a single k-sweep and one resolve_class pass
+// over its weight slice (see ksweep.hpp), writing SoA output arrays with
+// no per-worker heap allocation.
 //
-// design_fleet is the fleet-native front end; design_contracts_batch is
-// reimplemented on top of the same grouping and remains the
-// AoS-compatible, bitwise-reference entry point.
+// design_fleet is the only batch design engine: design_contracts_batch,
+// the pipeline's solve stage, the simulator's BiP policy and serve
+// sessions all run it. Its results are bitwise-identical to
+// design_contract on every worker. Failures are isolated per worker: an
+// invalid spec fails its class, a throwing k-sweep fails the class's
+// positive-weight workers, and an injected "contract.design" fault fails
+// one worker; each failed worker carries its error in
+// FleetDesignResult::error and is left unresolved, while every other
+// worker is designed normally.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <vector>
 
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
-#include "contract/ksweep.hpp"
 #include "util/metrics.hpp"
 
 namespace ccd::util {
@@ -58,7 +62,7 @@ struct FleetSoA {
   /// order[class_begin[c] .. class_begin[c + 1]), in input order.
   std::vector<std::size_t> order;
   /// Weights gathered into grouped order (parallel to `order`) — the
-  /// contiguous slice the SIMD resolve reads.
+  /// contiguous slice resolve_class reads.
   std::vector<double> grouped_weight;
 
   // Per-worker fields in original order (length = workers()).
@@ -68,9 +72,8 @@ struct FleetSoA {
   std::size_t workers() const { return weight.size(); }
   std::size_t classes() const { return intervals.size(); }
 
-  /// Validate and group specs. Throws what SubproblemSpec::validate()
-  /// throws, on the first invalid spec (in input order, matching the
-  /// batch path's sequential validation).
+  /// Group specs. Does not validate: design_fleet checks each class once
+  /// and reports an invalid one per worker.
   static FleetSoA from_specs(const std::vector<SubproblemSpec>& specs);
 
   /// Reconstruct the class's spec with weight 1. Equal (as values) to any
@@ -90,14 +93,9 @@ struct FleetOptions {
   /// When non-null, each class's k-sweep records its wall time here.
   util::metrics::Histogram* sweep_histogram = nullptr;
   /// Cooperative cancellation: polled between sweeps and between classes
-  /// during resolve. Workers skipped by cancellation have resolved[i] == 0.
+  /// during resolve. Workers skipped by cancellation have resolved[i] == 0
+  /// and no error.
   const util::CancellationToken* cancel = nullptr;
-  /// kAuto lets the library pick (vectorized); kScalar forces the
-  /// per-worker resolve_design reference path.
-  SweepKernel kernel = SweepKernel::kAuto;
-  /// Benchmark/test hook: with the vectorized kernel, run the portable
-  /// fallback loop even when AVX2 is available.
-  bool force_portable = false;
 };
 
 /// Fleet design output, SoA. All per-worker arrays are indexed by the
@@ -117,49 +115,38 @@ struct FleetDesignResult {
   std::vector<double> compensation;
   std::vector<std::size_t> response_interval;
   std::vector<std::uint8_t> excluded;
-  /// 1 iff the worker was actually designed (all-ones unless cancelled).
+  /// 1 iff the worker was actually designed (all-ones unless cancelled or
+  /// failed).
   std::vector<std::uint8_t> resolved;
-  /// Per-class design tables (null for all-excluded classes and classes
-  /// skipped by cancellation). Contracts are not materialized per worker:
+  /// Why worker i failed (null when it did not); a failed worker is
+  /// unresolved. Workers of one failed class share one exception object.
+  std::vector<std::exception_ptr> error;
+  /// Per-class design tables (null for all-excluded, invalid and cancelled
+  /// classes and for classes whose sweep threw). Contracts are not materialized per worker:
   /// worker i's contract is tables[fleet.class_of[i]]->candidates
   /// [k_opt[i] - 1].contract, shared across the class.
   std::vector<std::shared_ptr<const DesignTable>> tables;
 
   std::size_t workers() const { return k_opt.size(); }
 
-  /// Scalarize worker i to the AoS DesignResult by re-resolving against
-  /// the class table (interop/diagnostics, not the hot path). Bitwise-
-  /// identical to design_contract(fleet.worker_spec(i)).
+  /// Worker i as the AoS DesignResult, read from the SoA outputs and the
+  /// class table (the per-k utility_by_k / pay_by_k are rebuilt with
+  /// resolve_design's expressions). Bitwise-identical to
+  /// design_contract(fleet.worker_spec(i)). Rethrows error[i] for a
+  /// failed worker; requires resolved[i] otherwise.
   DesignResult result_at(const FleetSoA& fleet, std::size_t i) const;
+
+  /// Rethrow the error of the lowest-index failed worker, if any.
+  void rethrow_first_error() const;
 };
 
-/// Per-class table acquisition shared by design_fleet and
-/// design_contracts_batch: one cache.table_for per class that has a
-/// positive-weight worker, distinct classes in parallel. `original_specs`,
-/// when non-null, supplies the representative spec objects verbatim (the
-/// batch path passes the caller's specs so a pre-existing cache keyed on
-/// non-canonical bit patterns behaves exactly as before); otherwise the
-/// representative is fleet.worker_spec(first_positive[c]).
-struct FleetTableSet {
-  std::vector<std::shared_ptr<const DesignTable>> tables;  ///< per class
-  std::size_t sweeps_computed = 0;
-  std::uint64_t sweep_steps_computed = 0;
-};
-
-FleetTableSet acquire_fleet_tables(
-    const FleetSoA& fleet, DesignCache& cache, util::ThreadPool& pool,
-    util::metrics::Histogram* sweep_histogram,
-    const util::CancellationToken* cancel,
-    const std::vector<SubproblemSpec>* original_specs = nullptr);
-
-/// Design the whole fleet: per-class k-sweeps through the cache, then a
-/// vectorized (or scalar-reference, per options.kernel) per-worker
-/// resolve straight into SoA outputs. Scalar-kernel results are bitwise-
-/// identical to design_contract on each worker_spec; the SIMD kernel is
-/// bitwise-identical on builds without floating-point contraction (see
-/// ksweep.hpp) and value-identical otherwise. `stats`, when non-null,
-/// receives this call's cache counters (same accounting as
-/// design_contracts_batch).
+/// Design the whole fleet: per-class k-sweeps through the cache (distinct
+/// classes in parallel), then one resolve_class pass per class straight
+/// into SoA outputs. Results are bitwise-identical to design_contract on
+/// each worker_spec. Never throws for a worker's failure: see
+/// FleetDesignResult::error. `stats`, when non-null, receives this call's
+/// cache counters: lookups = resolved workers with weight > 0, misses =
+/// sweeps run.
 FleetDesignResult design_fleet(const FleetSoA& fleet,
                                const FleetOptions& options = {},
                                DesignCacheStats* stats = nullptr);

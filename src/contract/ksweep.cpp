@@ -3,31 +3,9 @@
 #include <algorithm>
 
 #include "contract/bounds.hpp"
-#include "contract/worker_response.hpp"
 #include "util/error.hpp"
 
 namespace ccd::contract {
-
-bool simd_available() {
-#ifdef CCD_KSWEEP_HAVE_AVX2
-  static const bool supported = detail::avx2_supported();
-  return supported;
-#else
-  return false;
-#endif
-}
-
-std::string simd_kernel_name() {
-  return simd_available() ? "avx2" : "portable";
-}
-
-SweepKernel resolve_kernel(SweepKernel kernel) {
-  // kAuto currently always picks the vectorized path: even without AVX2 it
-  // is the allocation-free tableau loop, strictly cheaper than per-worker
-  // resolve_design. Callers that need the bitwise reference semantics ask
-  // for kScalar explicitly.
-  return kernel == SweepKernel::kAuto ? SweepKernel::kSimd : kernel;
-}
 
 ClassTableau build_class_tableau(const SubproblemSpec& spec,
                                  const DesignTable& table,
@@ -73,60 +51,70 @@ ClassTableau build_class_tableau(const SubproblemSpec& spec,
                    spec.psi.y_peak());
     t.free_ride_feedback = spec.psi(y_free);
   }
-  t.zero_response = best_response(Contract(), spec.psi, spec.incentives);
   return t;
 }
 
-namespace detail {
-
-void resolve_class_portable(const ClassTableau& tableau, const double* weights,
-                            std::size_t count, const ResolveOut& out) {
+void resolve_class(const ClassTableau& tableau, const double* weights,
+                   std::size_t count, const ResolveOut& out) {
+  // Workers are resolved in fixed blocks with k in the outer loop, so the
+  // inner loops run a constant trip count over contiguous lanes and
+  // vectorize; a short tail block is padded with zero weights whose lanes
+  // are computed and discarded.
+  constexpr std::size_t kBlock = 64;
   const std::size_t m = tableau.m;
   const double mu = tableau.mu;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double w = weights[i];
-    // Eq. 43 argmax with the scalar path's first-max tie break (strictly
-    // greater replaces).
-    double best = w * tableau.feedback[0] - mu * tableau.pay[0];
-    std::size_t best_k = 1;
+  double w[kBlock];
+  double best[kBlock];
+  std::size_t best_k[kBlock];
+  double ub[kBlock];
+  for (std::size_t begin = 0; begin < count; begin += kBlock) {
+    const std::size_t n = std::min(kBlock, count - begin);
+    std::copy(weights + begin, weights + begin + n, w);
+    std::fill(w + n, w + kBlock, 0.0);
+
+    // Eq. 43 argmax with resolve_design's first-max tie break (strictly
+    // greater replaces). mu * pay is hoisted per k; the product rounds the
+    // same either way.
+    const double pay0 = mu * tableau.pay[0];
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      best[i] = w[i] * tableau.feedback[0] - pay0;
+      best_k[i] = 1;
+    }
     for (std::size_t j = 1; j < m; ++j) {
-      const double utility = w * tableau.feedback[j] - mu * tableau.pay[j];
-      if (utility > best) {
-        best = utility;
-        best_k = j + 1;
+      const double feedback = tableau.feedback[j];
+      const double pay = mu * tableau.pay[j];
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const double utility = w[i] * feedback - pay;
+        const bool greater = utility > best[i];
+        best[i] = greater ? utility : best[i];
+        best_k[i] = greater ? j + 1 : best_k[i];
       }
     }
+
     // Theorem 4.1 upper bound, mirroring theorem41_upper_bound's reduction
-    // (std::max keeps the earlier operand on ties).
-    double ub = -1e300;
+    // (std::max(a, b) is a < b ? b : a, keeping the earlier operand on
+    // ties).
+    for (std::size_t i = 0; i < kBlock; ++i) ub[i] = -1e300;
     for (std::size_t j = 0; j < m; ++j) {
-      const double value = w * tableau.ub_feedback[j] - mu * tableau.ub_pay[j];
-      ub = std::max(ub, value);
+      const double feedback = tableau.ub_feedback[j];
+      const double pay = mu * tableau.ub_pay[j];
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const double value = w[i] * feedback - pay;
+        ub[i] = ub[i] < value ? value : ub[i];
+      }
     }
     if (tableau.has_free_ride) {
-      ub = std::max(ub, w * tableau.free_ride_feedback);
+      const double feedback = tableau.free_ride_feedback;
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const double value = w[i] * feedback;
+        ub[i] = ub[i] < value ? value : ub[i];
+      }
     }
-    out.k_opt[i] = best_k;
-    out.requester_utility[i] = best;
-    out.upper_bound[i] = ub;
-  }
-}
 
-}  // namespace detail
-
-void resolve_class(const ClassTableau& tableau, const double* weights,
-                   std::size_t count, const ResolveOut& out,
-                   bool force_portable) {
-  if (count == 0) return;
-#ifdef CCD_KSWEEP_HAVE_AVX2
-  if (!force_portable && simd_available()) {
-    detail::resolve_class_avx2(tableau, weights, count, out);
-    return;
+    std::copy(best_k, best_k + n, out.k_opt + begin);
+    std::copy(best, best + n, out.requester_utility + begin);
+    std::copy(ub, ub + n, out.upper_bound + begin);
   }
-#else
-  (void)force_portable;
-#endif
-  detail::resolve_class_portable(tableau, weights, count, out);
 }
 
 }  // namespace ccd::contract

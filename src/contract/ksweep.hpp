@@ -1,58 +1,30 @@
-// Vectorized per-worker resolve for the fleet design path.
+// Per-class worker resolve for the fleet design path — the one resolve
+// kernel every batch design runs.
 //
 // Every worker of one spec class shares the same weight-independent
 // DesignTable; resolving a worker is then three per-k reductions over the
 // class's tables — the Eq. 43 argmax of w * feedback_k - mu * pay_k, the
 // Theorem 4.1 upper-bound max, and a gather for the lower bound at k_opt.
 // With the class's per-k columns laid out contiguously (ClassTableau) and
-// the workers' weights contiguous (FleetSoA), one SIMD pass resolves four
-// workers per instruction on AVX2; a portable scalar loop with identical
-// semantics serves every other build (the compiler autovectorizes it where
-// it can) and the AVX2 tail.
+// the workers' weights contiguous (FleetSoA), resolve_class runs k in the
+// outer loop and workers in the inner loop, over fixed-size blocks, so the
+// compiler can vectorize the worker loops for the build's target ISA
+// (GCC 12 on baseline x86-64 vectorizes the bound reductions; the argmax
+// select needs a blend instruction, e.g. -mavx2).
 //
-// Kernel selection is two-level: at build time the AVX2 kernel is only
-// compiled on x86-64 GCC/Clang (per-function target attributes — no global
-// -mavx2, so the rest of the library stays baseline-ISA); at run time it is
-// used only when the CPU reports AVX2. Both kernels use only multiplies,
-// subtracts, compares, and maxima — no FMA — so on builds without
-// floating-point contraction their results are bitwise-identical to the
-// scalar resolve_design path; with contraction enabled results may differ
-// in the last ulp (and argmax ties may then resolve differently), which is
-// why the reference kScalar path, not the SIMD path, carries the bitwise
-// reproducibility guarantees (checkpoints, wire protocol).
-//
-// The SIMD path does not run the "contract.design" fault-injection point;
-// chaos coverage targets the scalar batch path.
+// The kernel evaluates exactly the expressions of resolve_design and
+// theorem41_{upper,lower}_bound (multiplies, subtracts, strict-greater
+// argmax, std::max reductions) and the library is built with
+// -ffp-contract=off, so its results are bitwise-identical to the
+// per-worker reference design_contract on every build.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "contract/arena.hpp"
 #include "contract/designer.hpp"
 
 namespace ccd::contract {
-
-/// Which per-worker resolve kernel a batch/fleet design call runs.
-enum class SweepKernel {
-  /// Let the library pick: the vectorized path (currently always).
-  kAuto = 0,
-  /// Reference path: one resolve_design per worker. Bitwise-identical to
-  /// design_contract; carries the reproducibility guarantees.
-  kScalar,
-  /// Vectorized tableau path: AVX2 when compiled in and supported by this
-  /// CPU, otherwise the portable fallback loop.
-  kSimd,
-};
-
-/// True when the AVX2 kernel is compiled in and this CPU supports it.
-bool simd_available();
-
-/// The instruction set the kSimd path resolves to: "avx2" or "portable".
-std::string simd_kernel_name();
-
-/// Collapse kAuto to a concrete kernel.
-SweepKernel resolve_kernel(SweepKernel kernel);
 
 /// Weight-independent per-class columns the resolve reads, arena-backed
 /// and contiguous per k. Valid until the arena is reset.
@@ -67,15 +39,12 @@ struct ClassTableau {
   const double* lb_pay = nullptr;       ///< lemma42 upper pay, k = 1..m
   bool has_free_ride = false;           ///< omega > 0
   double free_ride_feedback = 0.0;      ///< psi(y_free) when omega > 0
-  /// Shared best response to the zero contract — the §V exclusion outcome,
-  /// identical for every worker of the class.
-  BestResponse zero_response;
 };
 
 /// Build the tableau for one class from its design table. `spec` is any
 /// spec of the class (weight is ignored). Columns are computed with the
 /// same expressions as resolve_design / theorem41_{upper,lower}_bound so
-/// the kernels reproduce the scalar values.
+/// the kernel reproduces the reference values.
 ClassTableau build_class_tableau(const SubproblemSpec& spec,
                                  const DesignTable& table,
                                  ScratchArena& arena);
@@ -90,23 +59,8 @@ struct ResolveOut {
 };
 
 /// Resolve `count` workers of one class (weights contiguous) against the
-/// tableau. Dispatches to AVX2 when available unless `force_portable`.
+/// tableau.
 void resolve_class(const ClassTableau& tableau, const double* weights,
-                   std::size_t count, const ResolveOut& out,
-                   bool force_portable = false);
-
-namespace detail {
-
-void resolve_class_portable(const ClassTableau& tableau, const double* weights,
-                            std::size_t count, const ResolveOut& out);
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CCD_KSWEEP_HAVE_AVX2 1
-bool avx2_supported();
-void resolve_class_avx2(const ClassTableau& tableau, const double* weights,
-                        std::size_t count, const ResolveOut& out);
-#endif
-
-}  // namespace detail
+                   std::size_t count, const ResolveOut& out);
 
 }  // namespace ccd::contract

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <exception>
 #include <sstream>
 #include <utility>
 
+#include "contract/fleet_soa.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/logging.hpp"
@@ -469,11 +470,9 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   fit_timer.stop();
 
   // ---- Strategy-specific solve (batched, cache-aware) --------------------
-  // All workers of one detected class share the same weight-independent
-  // spec, so the contract strategies go through design_contracts_batch:
-  // one k-sweep per distinct spec, then a cheap per-worker resolve. The
-  // fan-out reuses the process-wide shared pool unless the caller pins an
-  // explicit thread count.
+  // The contract strategies go through design_fleet. The fan-out reuses
+  // the process-wide shared pool unless the caller pins an explicit thread
+  // count.
   util::metrics::ScopedTimer solve_timer(stage_histogram("solve"),
                                          &result.timings.solve_s);
   // Per-community / per-distinct-spec solve spans for this run; snapshotted
@@ -506,125 +505,128 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     return design;
   };
 
+  // The spec a subproblem is designed (or priced by the fallback) with:
+  // the exclusion strategy zeroes suspected workers' weight, which the
+  // designer answers with the zero contract.
+  const auto solve_spec = [&](const SubproblemOutcome& sub) {
+    contract::SubproblemSpec spec = sub.spec;
+    if (config.strategy == PricingStrategy::kExcludeMalicious &&
+        suspected_malicious(sub)) {
+      spec.weight = 0.0;
+    }
+    return spec;
+  };
+  const auto record_solve_event = [&](std::size_t i, StageMode action,
+                                      const Error& e, std::string detail) {
+    DegradationEvent ev;
+    ev.stage = PipelineStage::kSolve;
+    ev.action = action;
+    ev.code = e.code();
+    ev.detail = std::move(detail);
+    ev.worker = result.subproblems[i].workers.front();
+    ev.subproblem = static_cast<std::int64_t>(i);
+    health.events.push_back(std::move(ev));
+  };
+
   // Which subproblems the solve actually finished; cancellation leaves
   // zeros behind and the post-pass below quarantines them.
   std::vector<std::uint8_t> task_done(nsub, 0);
   if (poll_cancel(PipelineStage::kSolve)) {
     // Cancelled before (or at) the solve boundary: no design work runs;
     // every live subproblem is quarantined by the post-pass.
-  } else if (policy.solve == StageMode::kFailFast) {
-    try {
-      switch (config.strategy) {
-        case PricingStrategy::kDynamicContract:
-        case PricingStrategy::kExcludeMalicious: {
-          std::vector<contract::SubproblemSpec> specs(nsub);
-          for (std::size_t i = 0; i < nsub; ++i) {
-            const SubproblemOutcome& sub = result.subproblems[i];
-            specs[i] = sub.spec;
-            // Quarantined (fit stage) and strategy-excluded subproblems get
-            // the zero-weight shortcut: no k-sweep, no fault point.
-            if (sub.quarantined) specs[i].weight = 0.0;
-            if (config.strategy == PricingStrategy::kExcludeMalicious &&
-                suspected_malicious(sub)) {
-              specs[i].weight = 0.0;  // zero contract
-            }
-          }
-          contract::BatchOptions batch;
-          batch.pool = pool;
-          batch.sweep_histogram = &solve_spans;
-          batch.cancel = cancel;
-          batch.resolved = &task_done;
-          batch.kernel = config.sweep_kernel;
-          std::vector<contract::DesignResult> designs =
-              contract::design_contracts_batch(specs, batch,
-                                               &result.design_cache);
-          for (std::size_t i = 0; i < nsub; ++i) {
-            if (task_done[i]) {
-              result.subproblems[i].design = std::move(designs[i]);
-            }
-          }
-          break;
+  } else {
+    // One solve call in every fault mode. Failures are collected per
+    // subproblem — from the per-subproblem task check and from the design
+    // call, which isolates them per worker — and handled afterwards in
+    // index order by the stage's policy.
+    std::vector<std::exception_ptr> failed(nsub);
+    for (std::size_t i = 0; i < nsub; ++i) {
+      if (result.subproblems[i].quarantined) continue;
+      try {
+        CCD_FAULT_POINT("pipeline.solve_task", i, Error);
+      } catch (...) {
+        failed[i] = std::current_exception();
+      }
+    }
+
+    switch (config.strategy) {
+      case PricingStrategy::kDynamicContract:
+      case PricingStrategy::kExcludeMalicious: {
+        // All workers of one detected class share the same weight-
+        // independent spec: one k-sweep per distinct spec, then one
+        // resolve pass per class. Quarantined and already-failed
+        // subproblems get the zero-weight shortcut (no k-sweep, no fault
+        // point).
+        std::vector<contract::SubproblemSpec> specs(nsub);
+        for (std::size_t i = 0; i < nsub; ++i) {
+          const SubproblemOutcome& sub = result.subproblems[i];
+          specs[i] = solve_spec(sub);
+          if (sub.quarantined || failed[i] != nullptr) specs[i].weight = 0.0;
         }
-        case PricingStrategy::kFixedPayment: {
-          pool->parallel_for(nsub, [&](std::size_t i) {
-            SubproblemOutcome& sub = result.subproblems[i];
-            if (sub.quarantined) return;
-            util::metrics::ScopedTimer span(&solve_spans);
+        const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
+        contract::FleetOptions options;
+        options.pool = pool;
+        options.sweep_histogram = &solve_spans;
+        options.cancel = cancel;
+        const contract::FleetDesignResult designed =
+            contract::design_fleet(fleet, options, &result.design_cache);
+        pool->parallel_for(nsub, [&](std::size_t i) {
+          SubproblemOutcome& sub = result.subproblems[i];
+          if (sub.quarantined || failed[i] != nullptr) return;
+          if (designed.error[i] != nullptr) {
+            failed[i] = designed.error[i];
+          } else if (designed.resolved[i] != 0) {
+            sub.design = designed.result_at(fleet, i);
+            task_done[i] = 1;
+          }
+        });
+        break;
+      }
+      case PricingStrategy::kFixedPayment: {
+        pool->parallel_for(nsub, [&](std::size_t i) {
+          SubproblemOutcome& sub = result.subproblems[i];
+          if (sub.quarantined || failed[i] != nullptr) return;
+          util::metrics::ScopedTimer span(&solve_spans);
+          try {
             sub.design = fixed_design(sub.spec);
             task_done[i] = 1;
-          }, cancel);
-          break;
-        }
+          } catch (...) {
+            failed[i] = std::current_exception();
+          }
+        }, cancel);
+        break;
       }
-    } catch (Error& e) {
-      e.with_stage("solve");
-      throw;
     }
+
     for (std::size_t i = 0; i < nsub; ++i) {
-      if (result.subproblems[i].quarantined) {
-        result.subproblems[i].design = quarantined_design();
-      }
-    }
-  } else {
-    // Lenient solve: per-subproblem tasks with a shared table cache; each
-    // task absorbs its own failure (quarantine or fixed-payment fallback)
-    // instead of cancelling the fan-out.
-    contract::DesignCache cache;
-    std::mutex events_mutex;
-    const StageMode solve_mode = policy.solve;
-    pool->parallel_for(nsub, [&](std::size_t i) {
+      if (failed[i] == nullptr) continue;
       SubproblemOutcome& sub = result.subproblems[i];
-      if (sub.quarantined) {
-        sub.design = quarantined_design();
-        return;
-      }
-      contract::SubproblemSpec spec = sub.spec;
-      if (config.strategy == PricingStrategy::kExcludeMalicious &&
-          suspected_malicious(sub)) {
-        spec.weight = 0.0;
-      }
       try {
-        util::metrics::ScopedTimer span(&solve_spans);
-        CCD_FAULT_POINT("pipeline.solve_task", i, Error);
-        sub.design = config.strategy == PricingStrategy::kFixedPayment
-                         ? fixed_design(spec)
-                         : cache.design(spec);
-        task_done[i] = 1;
-        return;
-      } catch (const Error& e) {
-        std::lock_guard<std::mutex> lock(events_mutex);
-        DegradationEvent ev;
-        ev.stage = PipelineStage::kSolve;
-        ev.action = solve_mode;
-        ev.code = e.code();
-        ev.detail = e.message();
-        ev.worker = sub.workers.front();
-        ev.subproblem = static_cast<std::int64_t>(i);
-        health.events.push_back(std::move(ev));
+        std::rethrow_exception(failed[i]);
+      } catch (Error& e) {
+        if (policy.solve == StageMode::kFailFast) {
+          e.with_stage("solve");
+          throw;
+        }
+        record_solve_event(i, policy.solve, e, e.message());
       }
-      if (solve_mode == StageMode::kFallback &&
+      if (policy.solve == StageMode::kFallback &&
           config.strategy != PricingStrategy::kFixedPayment) {
         try {
-          sub.design = fixed_design(spec);
+          sub.design = fixed_design(solve_spec(sub));
           sub.fallback = true;
           task_done[i] = 1;
-          return;
+          continue;
         } catch (const Error& e) {
-          std::lock_guard<std::mutex> lock(events_mutex);
-          DegradationEvent ev;
-          ev.stage = PipelineStage::kSolve;
-          ev.action = StageMode::kQuarantine;
-          ev.code = e.code();
-          ev.detail = "fallback failed: " + e.message();
-          ev.worker = sub.workers.front();
-          ev.subproblem = static_cast<std::int64_t>(i);
-          health.events.push_back(std::move(ev));
+          record_solve_event(i, StageMode::kQuarantine, e,
+                             "fallback failed: " + e.message());
         }
       }
       sub.quarantined = true;
-      sub.design = quarantined_design();
-    }, cancel);
-    result.design_cache = cache.stats();
+    }
+    for (SubproblemOutcome& sub : result.subproblems) {
+      if (sub.quarantined) sub.design = quarantined_design();
+    }
   }
 
   // Cancellation post-pass: anything the solve stage did not finish gets

@@ -159,14 +159,6 @@ struct PipelineConfig {
   /// solve stage on a dedicated pool of that size. Results are identical
   /// either way.
   std::size_t threads = 0;
-  /// Resolve kernel for the solve stage's batched design (see
-  /// contract/ksweep.hpp). Defaults to the scalar reference path, which is
-  /// bitwise-reproducible on every build; kSimd/kAuto select the
-  /// vectorized per-class resolve (identical results on builds without
-  /// floating-point contraction, last-ulp differences possible with it).
-  /// Not part of SimConfig, so checkpoints are unaffected; a resumed run
-  /// re-applies whatever kernel its PipelineConfig selects.
-  contract::SweepKernel sweep_kernel = contract::SweepKernel::kScalar;
   /// Per-stage degradation policy (all kFailFast by default).
   FaultPolicy faults{};
   /// Sanitizer knobs for the sanitize stage's lenient modes.

@@ -111,7 +111,6 @@ Session::Env Engine::session_env() {
   Session::Env env;
   env.checkpoint_dir = config_.checkpoint_dir;
   env.checkpoint_every = config_.checkpoint_every;
-  env.cache = &cache_;
   return env;
 }
 

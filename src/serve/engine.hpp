@@ -16,8 +16,8 @@
 //
 // Sessions execute under a per-session mutex — operations on one session
 // serialize, distinct sessions proceed in parallel across the executor
-// threads, and all redesign work funnels through one engine-shared
-// contract::DesignCache on util::shared_pool().
+// threads, and all redesign work runs contract::design_fleet on
+// util::shared_pool().
 //
 // Everything observable lands in `ccd.serve.*` metrics, and the counters
 // reconcile exactly with what clients see: submitted == responses, and
@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "contract/design_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
 #include "util/cancellation.hpp"
@@ -143,7 +142,6 @@ class Engine {
   Session::Env session_env();
 
   EngineConfig config_;
-  contract::DesignCache cache_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

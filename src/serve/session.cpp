@@ -302,13 +302,10 @@ void Session::ingest_redesign(const util::CancellationToken* cancel) {
     spec.mu = state.requester.mu;
     spec.intervals = state.requester.intervals;
   }
+  // Every refit yields a distinct psi per worker, so a cache kept across
+  // redesigns would only grow; the batch uses a private one per call.
   contract::BatchOptions options;
-  options.cache = env_.cache;
   options.cancel = cancel;
-  // Scalar kernel deliberately: session snapshots and replays promise
-  // bitwise-stable contracts, which only the scalar path guarantees
-  // across builds.
-  options.kernel = contract::SweepKernel::kScalar;
   std::vector<std::uint8_t> resolved;
   options.resolved = &resolved;
   std::vector<contract::DesignResult> designs =
@@ -342,7 +339,6 @@ bool Session::ingest_post(const util::CancellationToken* cancel) {
     view.active = true;
   }
   policy::PostEnv env;
-  env.cache = env_.cache;
   env.cancel = cancel;
   // A cancelled post keeps the previous contracts; the learner re-posts on
   // the next ingested round.

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -164,29 +165,30 @@ TEST(DesignCacheBatchTest, SharedCachePersistsAcrossCalls) {
   EXPECT_EQ(total.hits, total.lookups - total.misses);
 }
 
-TEST(DesignCacheTest, SingleDesignGoesThroughCache) {
+// Specs that differ only in weight share one table: the second lookup is
+// a hit on the same object, and resolving each weight against it gives
+// design_contract's result for that weight.
+TEST(DesignCacheTest, TableForSharesOneTableAcrossWeights) {
   DesignCache cache;
-  SubproblemSpec spec;
-  spec.weight = 1.3;
-  const DesignResult a = cache.design(spec);
-  spec.weight = 0.7;  // same table, different scalarization
-  const DesignResult b = cache.design(spec);
+  SubproblemSpec heavy;
+  heavy.weight = 1.3;
+  SubproblemSpec light = heavy;  // same table, different scalarization
+  light.weight = 0.7;
+  bool heavy_hit = true;
+  bool light_hit = false;
+  const std::shared_ptr<const DesignTable> a =
+      cache.table_for(heavy, &heavy_hit);
+  const std::shared_ptr<const DesignTable> b =
+      cache.table_for(light, &light_hit);
+  EXPECT_FALSE(heavy_hit);
+  EXPECT_TRUE(light_hit);
+  EXPECT_EQ(a, b);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().lookups, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
-  expect_identical(a, design_contract([&] {
-                     SubproblemSpec s;
-                     s.weight = 1.3;
-                     return s;
-                   }()),
-                   0);
-  expect_identical(b, design_contract([&] {
-                     SubproblemSpec s;
-                     s.weight = 0.7;
-                     return s;
-                   }()),
-                   1);
+  expect_identical(resolve_design(heavy, *a), design_contract(heavy), 0);
+  expect_identical(resolve_design(light, *b), design_contract(light), 1);
 }
 
 TEST(DesignCacheTest, KeyIgnoresWeightButSeesEverythingElse) {
@@ -260,7 +262,7 @@ TEST(DesignCacheTest, SignOfZeroTwinsShareOneTable) {
 
 TEST(DesignCacheTest, ClearResetsTablesAndCounters) {
   DesignCache cache;
-  cache.design(SubproblemSpec{});
+  cache.table_for(SubproblemSpec{});
   EXPECT_EQ(cache.size(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);

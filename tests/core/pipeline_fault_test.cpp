@@ -276,5 +276,83 @@ TEST_F(PipelineChaosTest, RateZeroIsBitwiseIdenticalToDisabled) {
   expect_identical(off, armed);
 }
 
+// Only the design fault site armed. Fail-fast rethrows the design error
+// with the solve stage attached; quarantine and fallback degrade exactly
+// the subproblems whose design failed (one event each, in index order),
+// and every other subproblem's design is bitwise-equal to the clean
+// fail-fast run.
+TEST_F(PipelineChaosTest, DesignFaultsDegradeExactlyTheFailedSubproblems) {
+  InjectorGuard guard;
+  PipelineConfig config;
+  util::FaultInjector::instance().disable();
+  const PipelineResult clean = run_pipeline(*trace_, config);
+  const std::size_t nsub = clean.subproblems.size();
+
+  util::FaultInjectorConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 17;
+  chaos.site_rates["contract.design"] = 0.05;
+  util::FaultInjector::instance().configure(chaos);
+  try {
+    run_pipeline(*trace_, config);
+    FAIL() << "fail-fast should rethrow the injected design fault";
+  } catch (const ContractError& e) {
+    EXPECT_EQ(e.context().stage, "solve");
+  }
+
+  for (const FaultPolicy& faults :
+       {FaultPolicy::quarantine(), FaultPolicy::fallback()}) {
+    config.faults = faults;
+    util::FaultInjector::instance().configure(chaos);
+    const PipelineResult r = run_pipeline(*trace_, config);
+    const std::size_t fired =
+        util::FaultInjector::instance().injected("contract.design");
+    EXPECT_GT(fired, 0u);
+    ASSERT_EQ(r.subproblems.size(), nsub);
+    expect_invariants(r, 1000);
+
+    std::vector<bool> failed(nsub, false);
+    std::int64_t previous = -1;
+    for (const DegradationEvent& e : r.health.events) {
+      ASSERT_EQ(e.stage, PipelineStage::kSolve);
+      EXPECT_EQ(e.action, faults.solve);
+      EXPECT_EQ(e.code, ErrorCode::kContract);
+      ASSERT_GT(e.subproblem, previous);
+      previous = e.subproblem;
+      failed[static_cast<std::size_t>(e.subproblem)] = true;
+    }
+    EXPECT_EQ(r.health.events.size(), fired);
+
+    for (std::size_t i = 0; i < nsub; ++i) {
+      const SubproblemOutcome& got = r.subproblems[i];
+      const SubproblemOutcome& want = clean.subproblems[i];
+      if (failed[i]) {
+        const bool fallback = faults.solve == StageMode::kFallback;
+        EXPECT_EQ(got.fallback, fallback) << "subproblem " << i;
+        EXPECT_EQ(got.quarantined, !fallback) << "subproblem " << i;
+        continue;
+      }
+      EXPECT_FALSE(got.quarantined) << "subproblem " << i;
+      EXPECT_FALSE(got.fallback) << "subproblem " << i;
+      EXPECT_EQ(got.design.excluded, want.design.excluded) << "subproblem " << i;
+      EXPECT_EQ(got.design.k_opt, want.design.k_opt) << "subproblem " << i;
+      EXPECT_EQ(got.design.requester_utility, want.design.requester_utility)
+          << "subproblem " << i;
+      EXPECT_EQ(got.design.upper_bound, want.design.upper_bound)
+          << "subproblem " << i;
+      EXPECT_EQ(got.design.lower_bound, want.design.lower_bound)
+          << "subproblem " << i;
+      EXPECT_EQ(got.design.response.effort, want.design.response.effort)
+          << "subproblem " << i;
+      EXPECT_EQ(got.design.response.compensation,
+                want.design.response.compensation) << "subproblem " << i;
+      EXPECT_EQ(got.design.utility_by_k, want.design.utility_by_k)
+          << "subproblem " << i;
+      EXPECT_EQ(got.design.pay_by_k, want.design.pay_by_k)
+          << "subproblem " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ccd::core

@@ -103,45 +103,23 @@ TEST(Fig8cRegression, DynamicBeatsFixedPaymentAcrossMu) {
   }
 }
 
-// The vectorized k-sweep must reproduce the golden shapes, not just match
-// the scalar path on random fleets: Fig. 6's monotone m-sweep through
-// design_fleet with the SIMD kernel...
-TEST_F(Fig6Regression, SimdFleetPathReproducesMonotoneShape) {
+// design_fleet, the batch engine behind the pipeline, the simulator and
+// serve sessions, must reproduce the golden Fig. 6 shape from its SoA
+// outputs, not just match design_contract on random fleets.
+TEST_F(Fig6Regression, FleetPathReproducesMonotoneShape) {
   contract::SubproblemSpec s = spec();
   double prev = -std::numeric_limits<double>::infinity();
   for (const std::size_t m : {2ul, 4ul, 8ul, 16ul, 32ul, 64ul, 128ul}) {
     s.intervals = m;
     const contract::FleetSoA fleet = contract::FleetSoA::from_specs({s});
-    contract::FleetOptions options;
-    options.kernel = contract::SweepKernel::kSimd;
-    const contract::FleetDesignResult d = contract::design_fleet(fleet, options);
+    const contract::FleetDesignResult d = contract::design_fleet(fleet);
     ASSERT_EQ(d.workers(), 1u);
+    ASSERT_EQ(d.resolved[0], 1) << "m=" << m;
+    EXPECT_EQ(d.excluded[0], 0) << "m=" << m;
     EXPECT_GE(d.requester_utility[0], prev - 1e-12) << "m=" << m;
     EXPECT_LE(d.requester_utility[0], d.upper_bound[0] + 1e-9) << "m=" << m;
     EXPECT_GE(d.requester_utility[0], d.lower_bound[0] - 1e-9) << "m=" << m;
     prev = d.requester_utility[0];
-  }
-}
-
-// ...and Fig. 8(c)'s dynamic-beats-fixed shape with the whole pipeline
-// running the vectorized solve stage (sweep_kernel = kAuto).
-TEST(Fig8cRegression, DynamicBeatsFixedPaymentWithSimdSolveStage) {
-  const data::ReviewTrace trace =
-      data::generate_trace(data::GeneratorParams::medium());
-  for (const double mu : {1.0, 0.9, 0.8}) {
-    core::PipelineConfig dynamic;
-    dynamic.requester.mu = mu;
-    dynamic.sweep_kernel = contract::SweepKernel::kAuto;
-    core::PipelineConfig fixed = dynamic;
-    fixed.strategy = core::PricingStrategy::kFixedPayment;
-    fixed.fixed_payment = 2.0;
-    fixed.fixed_threshold_effort = 1.0;
-
-    const double u_dynamic =
-        core::run_pipeline(trace, dynamic).total_requester_utility;
-    const double u_fixed =
-        core::run_pipeline(trace, fixed).total_requester_utility;
-    EXPECT_GT(u_dynamic, u_fixed) << "mu=" << mu;
   }
 }
 
