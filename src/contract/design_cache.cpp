@@ -151,6 +151,11 @@ std::shared_ptr<const DesignTable> DesignCache::table_for(
   return winner;
 }
 
+bool DesignCache::contains(const DesignCacheKey& key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return tables_.find(key) != tables_.end();
+}
+
 DesignCacheStats DesignCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

@@ -107,6 +107,9 @@ class DesignCache {
   std::shared_ptr<const DesignTable> table_for(const SubproblemSpec& spec,
                                                bool* was_hit = nullptr);
 
+  /// True when the key's table is cached. Counts as no lookup.
+  bool contains(const DesignCacheKey& key) const;
+
   DesignCacheStats stats() const;
   std::size_t size() const;
   /// Drops tables and resets the per-cache counters (the dropped-table

@@ -82,6 +82,14 @@ SubproblemSpec FleetSoA::worker_spec(std::size_t i) const {
 
 namespace {
 
+// Class c's cache key: the stored class fields are already canonical.
+DesignCacheKey class_key(const FleetSoA& fleet, std::size_t c) {
+  return DesignCacheKey{fleet.r2[c],        fleet.r1[c],
+                        fleet.r0[c],        fleet.beta[c],
+                        fleet.omega[c],     fleet.mu[c],
+                        fleet.intervals[c], fleet.domain[c]};
+}
+
 // Scatter a worker's BestResponse fields into the SoA output.
 void write_response(FleetDesignResult& out, std::size_t i,
                     const BestResponse& response) {
@@ -196,11 +204,18 @@ DesignResult FleetDesignResult::result_at(const FleetSoA& fleet,
   if (result.excluded) return result;
 
   result.k_opt = k_opt[i];
-  result.contract = candidates[k_opt[i] - 1].contract;
+  result.contract = contract_at(fleet, i);
   result.requester_utility = requester_utility[i];
   result.upper_bound = upper_bound[i];
   result.lower_bound = lower_bound[i];
   return result;
+}
+
+const Contract& FleetDesignResult::contract_at(const FleetSoA& fleet,
+                                               std::size_t i) const {
+  static const Contract kZero;
+  if (excluded[i]) return kZero;
+  return tables[fleet.class_of[i]]->candidates[k_opt[i] - 1].contract;
 }
 
 void FleetDesignResult::rethrow_first_error() const {
@@ -214,7 +229,6 @@ FleetDesignResult design_fleet(const FleetSoA& fleet,
                                DesignCacheStats* stats) {
   DesignCache local_cache;
   DesignCache& cache = options.cache ? *options.cache : local_cache;
-  util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
   const std::size_t n = fleet.workers();
   const std::size_t classes = fleet.classes();
 
@@ -233,14 +247,14 @@ FleetDesignResult design_fleet(const FleetSoA& fleet,
   out.error.assign(n, nullptr);
   out.tables.assign(classes, nullptr);
 
-  // One task per class, distinct classes in parallel (classes write
-  // disjoint output indices): a k-sweep through the cache when the class
-  // has a positive-weight worker, one resolve_class pass over the class's
-  // contiguous weight slice, then a scatter into the SoA outputs.
+  // One body per class (classes write disjoint output indices): a k-sweep
+  // through the cache when the class has a positive-weight worker, one
+  // resolve_class pass over the class's contiguous weight slice, then a
+  // scatter into the SoA outputs.
   std::atomic<std::size_t> computed{0};
   std::atomic<std::size_t> steps_computed{0};
   util::FaultInjector& injector = util::FaultInjector::instance();
-  pool.parallel_for(classes, [&](std::size_t c) {
+  const auto design_class = [&](std::size_t c) {
     const std::size_t begin = fleet.class_begin[c];
     const std::size_t count = fleet.class_begin[c + 1] - begin;
     const std::size_t* members = fleet.order.data() + begin;
@@ -334,7 +348,29 @@ FleetDesignResult design_fleet(const FleetSoA& fleet,
       }
       out.resolved[i] = 1;
     }
-  }, options.cancel);
+  };
+
+  // Fan out only when two or more classes need a k-sweep. Resolving cached
+  // classes takes microseconds, less than submitting, waking and joining
+  // pool tasks, so such a redesign runs inline, polling cancellation as
+  // parallel_for's inline path does.
+  std::size_t sweeps_needed = 0;
+  for (std::size_t c = 0; c < classes && sweeps_needed < 2; ++c) {
+    if (fleet.first_positive[c] != FleetSoA::npos &&
+        !cache.contains(class_key(fleet, c))) {
+      ++sweeps_needed;
+    }
+  }
+  if (sweeps_needed >= 2) {
+    util::ThreadPool& pool =
+        options.pool ? *options.pool : util::shared_pool();
+    pool.parallel_for(classes, design_class, options.cancel);
+  } else {
+    for (std::size_t c = 0; c < classes; ++c) {
+      if (options.cancel != nullptr && options.cancel->poll()) break;
+      design_class(c);
+    }
+  }
 
   const FleetCallStats fcs =
       fleet_call_stats(fleet, out, computed.load(), steps_computed.load());

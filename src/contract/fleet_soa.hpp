@@ -6,7 +6,10 @@
 // per-worker weights gathered contiguously per class (CSR). design_fleet
 // then designs each class with a single k-sweep and one resolve_class pass
 // over its weight slice (see ksweep.hpp), writing SoA output arrays with
-// no per-worker heap allocation.
+// no per-worker heap allocation. Classes run in parallel on the pool only
+// when two or more of them need a k-sweep (their table is not cached yet);
+// otherwise the same per-class body runs inline on the calling thread,
+// because resolving cached classes costs less than a pool round trip.
 //
 // design_fleet is the only batch design engine: design_contracts_batch,
 // the pipeline's solve stage, the simulator's BiP policy and serve
@@ -86,7 +89,8 @@ struct FleetSoA {
 };
 
 struct FleetOptions {
-  /// Pool for the per-class sweep fan-out; null uses util::shared_pool().
+  /// Pool for the per-class fan-out, used only when two or more classes
+  /// need a k-sweep; null uses util::shared_pool().
   util::ThreadPool* pool = nullptr;
   /// Cache reused across calls; null gives the call a private cache.
   DesignCache* cache = nullptr;
@@ -136,17 +140,22 @@ struct FleetDesignResult {
   /// failed worker; requires resolved[i] otherwise.
   DesignResult result_at(const FleetSoA& fleet, std::size_t i) const;
 
+  /// Worker i's posted contract: its class table's k_opt[i] candidate, or
+  /// the zero contract when excluded. Requires resolved[i].
+  const Contract& contract_at(const FleetSoA& fleet, std::size_t i) const;
+
   /// Rethrow the error of the lowest-index failed worker, if any.
   void rethrow_first_error() const;
 };
 
-/// Design the whole fleet: per-class k-sweeps through the cache (distinct
-/// classes in parallel), then one resolve_class pass per class straight
-/// into SoA outputs. Results are bitwise-identical to design_contract on
-/// each worker_spec. Never throws for a worker's failure: see
-/// FleetDesignResult::error. `stats`, when non-null, receives this call's
-/// cache counters: lookups = resolved workers with weight > 0, misses =
-/// sweeps run.
+/// Design the whole fleet: per-class k-sweeps through the cache, then one
+/// resolve_class pass per class straight into SoA outputs. Distinct
+/// classes run in parallel on options.pool when two or more need a sweep,
+/// and inline on the caller otherwise (no pool task at all). Results are
+/// bitwise-identical to design_contract on each worker_spec. Never throws
+/// for a worker's failure: see FleetDesignResult::error. `stats`, when
+/// non-null, receives this call's cache counters: lookups = resolved
+/// workers with weight > 0, misses = sweeps run.
 FleetDesignResult design_fleet(const FleetSoA& fleet,
                                const FleetOptions& options = {},
                                DesignCacheStats* stats = nullptr);

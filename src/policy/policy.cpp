@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "contract/fleet_soa.hpp"
 #include "util/cancellation.hpp"
 #include "util/error.hpp"
 #include "util/wire.hpp"
@@ -132,21 +133,23 @@ bool BipPolicy::post(std::size_t round, bool redesign,
     specs[i].mu = views[i].mu;
     specs[i].intervals = views[i].intervals;
   }
-  contract::BatchOptions options;
+  const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
+  contract::FleetOptions options;
   options.pool = env.pool;
   options.cache = env.cache;
   options.cancel = env.cancel;
-  std::vector<std::uint8_t> resolved;
-  options.resolved = &resolved;
-  auto results = contract::design_contracts_batch(specs, options);
+  const contract::FleetDesignResult designed =
+      contract::design_fleet(fleet, options);
+  designed.rethrow_first_error();
   if (env.cancel != nullptr && env.cancel->cancelled()) {
     // The batch was cut short: tell the caller to drop the round, exactly
     // as the pre-policy inline redesign did.
     return false;
   }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    CCD_CHECK_MSG(resolved[i] != 0, "redesign batch left a worker unsolved");
-    contracts[i] = std::move(results[i].contract);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    CCD_CHECK_MSG(designed.resolved[i] != 0,
+                  "redesign batch left a worker unsolved");
+    contracts[i] = designed.contract_at(fleet, i);
   }
   return true;
 }

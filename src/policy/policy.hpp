@@ -11,10 +11,11 @@
 //
 // Three backends:
 //
-//  * BipPolicy — the paper baseline. Wraps the existing
-//    contract::design_contracts_batch / DesignCache path verbatim: on each
-//    redesign round it solves the bilevel program for the views as given.
-//    Stateless; bitwise-identical to the pre-policy simulator.
+//  * BipPolicy — the paper baseline. On each redesign round it solves the
+//    bilevel program for the views as given with contract::design_fleet
+//    through the caller's DesignCache, and copies each worker's contract
+//    out of its class table (FleetDesignResult::contract_at). Stateless;
+//    bitwise-identical to the pre-policy simulator.
 //
 //  * ZoomingBanditPolicy — after Ho–Slivkins–Vaughan, "Adaptive Contract
 //    Design for Crowdsourcing Markets" (arXiv:1405.2875). Per worker, an

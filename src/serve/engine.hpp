@@ -16,8 +16,10 @@
 //
 // Sessions execute under a per-session mutex — operations on one session
 // serialize, distinct sessions proceed in parallel across the executor
-// threads, and all redesign work runs contract::design_fleet on
-// util::shared_pool().
+// threads, and all redesign work runs contract::design_fleet. A redesign
+// whose classes are all cached (the usual simulation round) resolves
+// inline on the executor thread; one that needs two or more k-sweeps (an
+// ingest refit) fans its classes out onto util::shared_pool().
 //
 // Everything observable lands in `ccd.serve.*` metrics, and the counters
 // reconcile exactly with what clients see: submitted == responses, and

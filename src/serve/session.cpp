@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "contract/design_cache.hpp"
+#include "contract/fleet_soa.hpp"
 #include "core/checkpoint.hpp"
 #include "core/requester.hpp"
 #include "effort/fitting.hpp"
@@ -303,21 +303,22 @@ void Session::ingest_redesign(const util::CancellationToken* cancel) {
     spec.intervals = state.requester.intervals;
   }
   // Every refit yields a distinct psi per worker, so a cache kept across
-  // redesigns would only grow; the batch uses a private one per call.
-  contract::BatchOptions options;
+  // redesigns would only grow; the design uses a private one per call.
+  const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
+  contract::FleetOptions options;
   options.cancel = cancel;
-  std::vector<std::uint8_t> resolved;
-  options.resolved = &resolved;
-  std::vector<contract::DesignResult> designs =
-      contract::design_contracts_batch(specs, options);
+  const contract::FleetDesignResult designed =
+      contract::design_fleet(fleet, options);
+  designed.rethrow_first_error();
   if (cancel != nullptr && cancel->cancelled()) {
     // Cut short: keep the previous contracts posted; the next refit round
     // redesigns from scratch.
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    CCD_CHECK_MSG(resolved[i] != 0, "redesign batch left a worker unsolved");
-    state.contracts[i] = std::move(designs[i].contract);
+    CCD_CHECK_MSG(designed.resolved[i] != 0,
+                  "redesign batch left a worker unsolved");
+    state.contracts[i] = designed.contract_at(fleet, i);
   }
 }
 

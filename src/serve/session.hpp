@@ -14,8 +14,10 @@
 //    requester, accumulates a bounded sliding window of effort samples,
 //    re-fits each worker's effort curve (effort::fit_effort_function)
 //    every `refit_every` rounds, and re-designs all contracts through
-//    contract::design_contracts_batch on util::shared_pool() with a
-//    private design cache per redesign.
+//    contract::design_fleet (one k-sweep per distinct fitted curve, on
+//    util::shared_pool() when there are two or more) with a private design
+//    cache per redesign, copying each posted contract out of its class
+//    table.
 //
 // Durability: when a checkpoint directory is configured every completed
 // round snapshots crash-safely. Simulation sessions reuse core/checkpoint

@@ -25,9 +25,10 @@
 //    runs inline and submit throws.
 //
 // Observability: every pool reports into the process-wide `ccd.pool.*`
-// metrics — queue depth and busy-worker gauges, a task-latency histogram
-// (execution time of each dequeued task, microseconds), and a completed-
-// task counter. `ccd.pool.threads` carries the shared pool's size. See
+// metrics — queue depth and busy-worker gauges (both kept as +1/-1 deltas,
+// so each is the exact sum over every pool in the process), a task-latency
+// histogram (execution time of each dequeued task, microseconds), and a
+// completed-task counter. `ccd.pool.threads` carries the shared pool's size. See
 // util/metrics.hpp for the export paths and the -DCCD_NO_METRICS switch.
 #pragma once
 
@@ -70,14 +71,12 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();
-    std::size_t depth;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
       queue_.emplace([task] { (*task)(); });
-      depth = queue_.size();
+      queue_depth_->add(1.0);
     }
-    queue_depth_->set(static_cast<double>(depth));
     cv_.notify_one();
     return result;
   }

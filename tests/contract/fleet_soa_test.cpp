@@ -539,25 +539,33 @@ TEST(FleetDesignTest, SharedCacheServesSecondCallWithoutSweeps) {
 
 // A token cancelled before the call skips every class: no worker is
 // resolved, none carries an error, and result_at refuses to read them.
+// Holds on the pool fan-out (empty cache) and on the inline path (every
+// table cached) alike.
 TEST(FleetDesignTest, CancelledTokenLeavesWorkersUnresolved) {
   const std::vector<SubproblemSpec> specs = random_fleet(40, 51);
   const FleetSoA fleet = FleetSoA::from_specs(specs);
-  util::CancellationToken token;
-  token.request_cancel();
-  FleetOptions options;
-  options.cancel = &token;
-  DesignCacheStats stats;
-  const FleetDesignResult result = design_fleet(fleet, options, &stats);
-  ASSERT_EQ(result.workers(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(result.resolved[i], 0) << "worker " << i;
-    EXPECT_EQ(result.error[i], nullptr) << "worker " << i;
-    EXPECT_THROW(result.result_at(fleet, i), Error) << "worker " << i;
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "inline (cached)" : "fan-out (uncached)");
+    DesignCache cache;
+    FleetOptions options;
+    options.cache = &cache;
+    if (cached) design_fleet(fleet, options);
+    util::CancellationToken token;
+    token.request_cancel();
+    options.cancel = &token;
+    DesignCacheStats stats;
+    const FleetDesignResult result = design_fleet(fleet, options, &stats);
+    ASSERT_EQ(result.workers(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(result.resolved[i], 0) << "worker " << i;
+      EXPECT_EQ(result.error[i], nullptr) << "worker " << i;
+      EXPECT_THROW(result.result_at(fleet, i), Error) << "worker " << i;
+    }
+    for (const auto& table : result.tables) EXPECT_EQ(table, nullptr);
+    EXPECT_EQ(stats.lookups, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_NO_THROW(result.rethrow_first_error());
   }
-  for (const auto& table : result.tables) EXPECT_EQ(table, nullptr);
-  EXPECT_EQ(stats.lookups, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_NO_THROW(result.rethrow_first_error());
 }
 
 // sweep_histogram times one table lookup per class that has a
@@ -631,6 +639,116 @@ TEST(FleetDesignTest, ResultsDoNotDependOnPoolSize) {
     EXPECT_TRUE(same_bits(a.effort[i], b.effort[i])) << where;
     EXPECT_TRUE(same_bits(a.compensation[i], b.compensation[i])) << where;
   }
+}
+
+// Tasks the process-wide pools have completed. A worker counts its task
+// just after the task's future is ready, so read this only once the pools
+// in play have shut down and every increment has retired.
+std::uint64_t pool_tasks() {
+  return util::metrics::registry().counter("ccd.pool.tasks").value();
+}
+
+void expect_same_contract(const Contract& a, const Contract& b,
+                          const std::string& where) {
+  ASSERT_EQ(a.is_zero(), b.is_zero()) << where;
+  ASSERT_EQ(a.intervals(), b.intervals()) << where;
+  EXPECT_TRUE(same_bits(a.delta(), b.delta())) << where;
+  if (a.is_zero()) return;
+  for (std::size_t l = 0; l <= a.intervals(); ++l) {
+    EXPECT_TRUE(same_bits(a.payment(l), b.payment(l)))
+        << where << " knot " << l;
+    EXPECT_TRUE(same_bits(a.knot(l), b.knot(l))) << where << " knot " << l;
+  }
+}
+
+// A fleet whose class tables are all cached resolves inline on the caller:
+// the pool runs no task, and every worker (contract included) is still
+// bitwise-equal to design_contract.
+TEST(FleetDesignTest, CachedFleetDesignsInlineWithoutPoolTasks) {
+  std::vector<SubproblemSpec> specs = random_fleet(120, 54);
+  const std::vector<SubproblemSpec> edges = edge_fleet(54);
+  specs.insert(specs.end(), edges.begin(), edges.end());
+  const FleetSoA fleet = FleetSoA::from_specs(specs);
+  ASSERT_GE(fleet.classes(), 2u);
+  DesignCache cache;
+  {
+    util::ThreadPool warm_pool(2);
+    FleetOptions warm;
+    warm.cache = &cache;
+    warm.pool = &warm_pool;
+    design_fleet(fleet, warm);
+  }
+
+  util::ThreadPool pool(2);
+  FleetOptions options;
+  options.cache = &cache;
+  options.pool = &pool;
+  const std::uint64_t before = pool_tasks();
+  DesignCacheStats stats;
+  const FleetDesignResult result = design_fleet(fleet, options, &stats);
+  pool.shutdown();
+  if (util::metrics::compiled_in() && util::metrics::enabled()) {
+    EXPECT_EQ(pool_tasks() - before, 0u);
+  }
+  EXPECT_EQ(stats.misses, 0u);
+
+  expect_fleet_matches_reference(fleet, result, specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string where = "worker " + std::to_string(i);
+    expect_same_contract(result.contract_at(fleet, i),
+                         design_contract(specs[i]).contract, where);
+    expect_same_contract(result.contract_at(fleet, i),
+                         result.result_at(fleet, i).contract, where);
+  }
+}
+
+// Two or more classes that need a k-sweep still fan out onto the pool; a
+// single uncached class among cached ones does not.
+TEST(FleetDesignTest, TwoUncachedClassesFanOutOnThePool) {
+  const std::vector<SubproblemSpec> specs = random_fleet(80, 55);
+  const FleetSoA fleet = FleetSoA::from_specs(specs);
+  std::size_t sweeps = 0;
+  std::size_t dropped = FleetSoA::npos;
+  for (std::size_t c = 0; c < fleet.classes(); ++c) {
+    if (fleet.first_positive[c] == FleetSoA::npos) continue;
+    ++sweeps;
+    dropped = c;
+  }
+  ASSERT_GE(sweeps, 3u);
+  const bool counting =
+      util::metrics::compiled_in() && util::metrics::enabled();
+
+  DesignCache cache;
+  util::ThreadPool fan_out_pool(2);
+  FleetOptions options;
+  options.cache = &cache;
+  options.pool = &fan_out_pool;
+  std::uint64_t before = pool_tasks();
+  DesignCacheStats stats;
+  const FleetDesignResult fresh = design_fleet(fleet, options, &stats);
+  fan_out_pool.shutdown();
+  if (counting) {
+    EXPECT_GT(pool_tasks() - before, 0u);
+  }
+  EXPECT_EQ(stats.misses, sweeps);
+  expect_fleet_matches_reference(fleet, fresh, specs);
+
+  // A cache holding every table but one.
+  DesignCache partial;
+  for (std::size_t c = 0; c < fleet.classes(); ++c) {
+    if (c != dropped) partial.table_for(fleet.class_spec(c));
+  }
+  util::ThreadPool inline_pool(2);
+  options.cache = &partial;
+  options.pool = &inline_pool;
+  before = pool_tasks();
+  const FleetDesignResult one_miss = design_fleet(fleet, options, &stats);
+  inline_pool.shutdown();
+  if (counting) {
+    EXPECT_EQ(pool_tasks() - before, 0u);
+  }
+  EXPECT_EQ(stats.misses, 1u);
+  expect_fleet_matches_reference(fleet, one_miss, specs);
 }
 
 TEST(KSweepTest, ResolveClassMatchesResolveDesign) {

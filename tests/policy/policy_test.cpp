@@ -7,15 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <exception>
 #include <memory>
 #include <string>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
 #include "contract/worker_response.hpp"
 #include "policy/policy.hpp"
+#include "util/cancellation.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace ccd::policy {
@@ -153,6 +158,85 @@ TEST(BipPolicyTest, MatchesTheBatchDesignerBitwise) {
   std::vector<contract::Contract> kept = contracts;
   ASSERT_TRUE(bip->post(1, false, toy_views(), kept, rng, env));
   expect_contracts_bitwise_equal(kept, expected);
+}
+
+// Dynamic type of what `fn` throws (void when it does not throw).
+template <typename F>
+std::type_index thrown_type(F&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return typeid(e);
+  }
+  return typeid(void);
+}
+
+// A failing design surfaces from post() as the designer's own exception
+// class, before any contract is touched.
+TEST(BipPolicyTest, DesignFailuresThrowTheDesignersErrorClass) {
+  PolicyConfig config;
+  const std::unique_ptr<Policy> bip = make_policy(config);
+  util::Rng rng(7);
+  contract::DesignCache cache;
+  PostEnv env;
+  env.cache = &cache;
+  std::vector<contract::Contract> posted(toy_views().size());
+  ASSERT_TRUE(bip->post(0, true, toy_views(), posted, rng, env));
+
+  std::vector<WorkerView> invalid = toy_views();
+  invalid[1].mu = 0.0;
+  contract::SubproblemSpec bad = toy_specs()[1];
+  bad.mu = 0.0;
+  const std::type_index expected =
+      thrown_type([&] { contract::design_contract(bad); });
+  ASSERT_NE(expected, std::type_index(typeid(void)));
+  std::vector<contract::Contract> contracts = posted;
+  EXPECT_EQ(thrown_type([&] {
+              bip->post(1, true, invalid, contracts, rng, env);
+            }),
+            expected);
+  expect_contracts_bitwise_equal(contracts, posted);
+
+  struct InjectorGuard {  // leaves the process-wide injector disarmed
+    ~InjectorGuard() { util::FaultInjector::instance().disable(); }
+  } guard;
+  util::FaultInjectorConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 5;
+  chaos.site_rates["contract.design"] = 1.0;
+  util::FaultInjector::instance().configure(chaos);
+  // Cached tables: the fault fires on the inline path.
+  EXPECT_THROW(bip->post(2, true, toy_views(), contracts, rng, env),
+               ContractError);
+  // A private cache: the fault fires in the pool fan-out.
+  EXPECT_THROW(bip->post(3, true, toy_views(), contracts, rng, PostEnv{}),
+               ContractError);
+  util::FaultInjector::instance().disable();
+  expect_contracts_bitwise_equal(contracts, posted);
+}
+
+// A cancelled design returns false and leaves `contracts` as they were,
+// whether the classes resolve inline (cached) or fan out (uncached).
+TEST(BipPolicyTest, CancelledPostReturnsFalseWithoutTouchingContracts) {
+  PolicyConfig config;
+  const std::unique_ptr<Policy> bip = make_policy(config);
+  util::Rng rng(7);
+  contract::DesignCache cache;
+  PostEnv env;
+  env.cache = &cache;
+  std::vector<contract::Contract> posted(toy_views().size());
+  ASSERT_TRUE(bip->post(0, true, toy_views(), posted, rng, env));
+
+  util::CancellationToken token;
+  token.request_cancel();
+  env.cancel = &token;
+  std::vector<contract::Contract> contracts = posted;
+  EXPECT_FALSE(bip->post(1, true, toy_views(), contracts, rng, env));
+  expect_contracts_bitwise_equal(contracts, posted);
+  PostEnv uncached;
+  uncached.cancel = &token;
+  EXPECT_FALSE(bip->post(2, true, toy_views(), contracts, rng, uncached));
+  expect_contracts_bitwise_equal(contracts, posted);
 }
 
 TEST(BipPolicyTest, StateIsEmptyAndLoadAcceptsIt) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <latch>
 #include <numeric>
 #include <stdexcept>
@@ -299,6 +300,32 @@ TEST(ThreadPoolContentionTest, SessionStyleBurstsLoseNoTasksAndSettle) {
   EXPECT_EQ(busy, 0.0);
 #endif
 }
+
+#ifndef CCD_NO_METRICS
+// The queue-depth gauge is the exact process-wide count of queued tasks:
+// once two pools have enqueued, drained and shut down it reads 0. (A
+// last-writer-wins set() could leave a stale depth behind.)
+TEST(ThreadPoolMetricsTest, QueueDepthReturnsToZeroAfterTwoPoolsDrain) {
+  metrics::Gauge& depth = metrics::registry().gauge("ccd.pool.queue_depth");
+  {
+    ThreadPool a(2);
+    ThreadPool b(2);
+    std::vector<std::future<void>> pending;
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 64; ++i) {
+      ThreadPool& pool = i % 2 == 0 ? a : b;
+      pending.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
+    }
+    for (std::future<void>& f : pending) f.get();
+    EXPECT_EQ(ran.load(), 64);
+    a.shutdown();
+    b.shutdown();
+  }
+  if (metrics::enabled()) {
+    EXPECT_EQ(depth.value(), 0.0);
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace ccd::util
