@@ -38,7 +38,7 @@
 // Tie-breaks are by lowest index, never by address or hash order, so a run
 // is bitwise-reproducible across thread counts and kill/resume. Learner
 // state is serialized by save_state()/load_state() at round boundaries and
-// rides the SCKP v3 / ISES v2 checkpoint frames; a posted-but-unobserved
+// rides the SCKP v3 / ISES v3 checkpoint frames; a posted-but-unobserved
 // arm (the ingest flow checkpoints right after posting) is part of that
 // state, so a resumed learner still credits it on the next observe().
 #pragma once

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "contract/fleet_soa.hpp"
@@ -11,12 +13,18 @@
 #include "effort/fitting.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace ccd::serve {
+
+namespace metrics = util::metrics;
 
 namespace {
 
 constexpr const char* kIngestTag = "ISES";
+constexpr const char* kJournalTag = "ISJR";
+/// Bytes per journaled observation: effort, feedback, accuracy sample.
+constexpr std::size_t kObservationBytes = 24;
 constexpr const char* kSimSuffix = ".sim.ckpt";
 constexpr const char* kIngestSuffix = ".ingest.ckpt";
 
@@ -31,6 +39,38 @@ std::string checkpoint_file(const std::string& dir, const std::string& id,
   return dir + "/" + id +
          (mode == SessionMode::kSimulation ? kSimSuffix : kIngestSuffix);
 }
+
+/// Throws DataError unless every observation is finite and non-negative.
+void validate_observations(const std::vector<IngestObservation>& observations) {
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    const IngestObservation& obs = observations[i];
+    if (!std::isfinite(obs.effort) || !std::isfinite(obs.feedback) ||
+        !std::isfinite(obs.accuracy_sample) || obs.effort < 0.0 ||
+        obs.feedback < 0.0 || obs.accuracy_sample < 0.0) {
+      throw DataError("ingest observation for worker " + std::to_string(i) +
+                      " is not finite and non-negative");
+    }
+  }
+}
+
+/// `ccd.serve.checkpoint.*`: what ingest-session durability costs. The
+/// histograms time a whole durable write (encode + I/O); `bytes` counts
+/// every snapshot and journal record written.
+struct CheckpointMetrics {
+  metrics::Histogram& append_us;
+  metrics::Histogram& snapshot_us;
+  metrics::Counter& bytes;
+
+  static CheckpointMetrics& instance() {
+    static CheckpointMetrics m = [] {
+      metrics::MetricsRegistry& reg = metrics::registry();
+      return CheckpointMetrics{reg.histogram("ccd.serve.checkpoint.append_us"),
+                               reg.histogram("ccd.serve.checkpoint.snapshot_us"),
+                               reg.counter("ccd.serve.checkpoint.bytes")};
+    }();
+    return m;
+  }
+};
 
 }  // namespace
 
@@ -53,11 +93,13 @@ bool valid_session_id(const std::string& id) {
 /// effort curves start at the library default and are re-fit from the
 /// observed sample window.
 struct Session::IngestState {
-  /// v2 appends the contract-designer policy section (backend config,
-  /// opaque learner state, learner RNG). v1 files still load and restore a
-  /// default-BiP session.
-  static constexpr std::uint32_t kVersion = 2;
-  static constexpr std::uint32_t kMinReadVersion = 1;
+  /// v3: snapshot frame + journal records (session.hpp). The snapshot
+  /// payload carries the contract-designer policy section (backend config,
+  /// opaque learner state, learner RNG). Only v3 decodes.
+  static constexpr std::uint32_t kVersion = 3;
+  /// Journaled rounds after which the next durable point writes a full
+  /// snapshot instead of a record: bounds file size and restore replay.
+  static constexpr std::uint64_t kJournalRounds = 32;
   /// Sliding window of retained (effort, feedback) samples per worker —
   /// bounds session memory no matter how long the campaign runs.
   static constexpr std::size_t kSampleWindow = 256;
@@ -84,6 +126,16 @@ struct Session::IngestState {
   policy::PolicyConfig policy_config;
   std::unique_ptr<policy::Policy> policy;
   util::Rng rng{1};
+
+  // Journal bookkeeping (never serialized).
+  /// Observations of the rounds since the last durable write, round-major.
+  std::vector<IngestObservation> unjournaled;
+  /// Rounds journaled since the last snapshot.
+  std::uint64_t journaled_rounds = 0;
+  /// The next durable point must write a full snapshot: nothing written
+  /// yet, the file is not this session's own clean snapshot + journal, or
+  /// a round since has no faithful replay.
+  bool snapshot_due = true;
 
   std::size_t workers() const { return est_accuracy.size(); }
   bool finished() const { return rounds_budget > 0 && round >= rounds_budget; }
@@ -197,6 +249,36 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
                       " workers");
   }
 
+  // Validate before any state changes: a refused request must leave the
+  // session exactly as if it had never arrived.
+  validate_observations(observations);
+
+  const bool durable = !env_.checkpoint_dir.empty();
+  if (durable) {
+    state.unjournaled.insert(state.unjournaled.end(), observations.begin(),
+                             observations.end());
+  }
+  Step step;
+  try {
+    step = ingest_step(observations, cancel);
+  } catch (...) {
+    state.snapshot_due = true;  // a round that threw part-way has no replay
+    throw;
+  }
+  // Replay runs uncancelled, so a round cut short must reach the file as a
+  // snapshot, never as a journal record.
+  if (step.cut_short) state.snapshot_due = true;
+  if (durable && state.round % env_.checkpoint_every == 0) {
+    ingest_durable_point();
+  }
+  return step.redesigned;
+}
+
+Session::Step Session::ingest_step(
+    const std::vector<IngestObservation>& observations,
+    const util::CancellationToken* cancel) {
+  IngestState& state = *ingest_;
+  const std::size_t n = state.workers();
   const bool learner = state.policy->learns();
   std::vector<policy::RoundOutcome> outcomes;
   if (learner) outcomes.resize(n);
@@ -204,12 +286,6 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
   double total_pay = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const IngestObservation& obs = observations[i];
-    if (!std::isfinite(obs.effort) || !std::isfinite(obs.feedback) ||
-        !std::isfinite(obs.accuracy_sample) || obs.effort < 0.0 ||
-        obs.feedback < 0.0 || obs.accuracy_sample < 0.0) {
-      throw DataError("ingest observation for worker " + std::to_string(i) +
-                      " is not finite and non-negative");
-    }
     std::vector<data::EffortSample>& window = state.samples[i];
     data::EffortSample sample;
     sample.worker = static_cast<data::WorkerId>(i);
@@ -248,23 +324,54 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
       weighted_feedback - state.requester.mu * total_pay;
   state.round += 1;
 
-  bool redesigned = false;
+  Step step;
   if (state.round % state.refit_every == 0) {
     if (learner) {
       // Learners consume the re-fit effort curves through their next
       // post(); the BiP redesign below would overwrite their arms.
       ingest_refit();
     } else {
-      ingest_redesign(cancel);
-      redesigned = cancel == nullptr || !cancel->cancelled();
+      step.redesigned = ingest_redesign(cancel);
+      step.cut_short = !step.redesigned;
     }
   }
-  if (learner) redesigned = ingest_post(cancel);
-  if (!env_.checkpoint_dir.empty() &&
-      state.round % env_.checkpoint_every == 0) {
-    ingest_checkpoint();
+  if (learner) {
+    step.redesigned = ingest_post(cancel);
+    step.cut_short = !step.redesigned;
   }
-  return redesigned;
+  return step;
+}
+
+void Session::ingest_durable_point() {
+  IngestState& state = *ingest_;
+  const std::uint64_t rounds = state.unjournaled.size() / state.workers();
+  if (state.snapshot_due ||
+      state.journaled_rounds + rounds > IngestState::kJournalRounds) {
+    ingest_snapshot();
+    return;
+  }
+  CheckpointMetrics& m = CheckpointMetrics::instance();
+  metrics::ScopedTimer timer(&m.append_us);
+  util::wire::Writer w;
+  w.u64(state.round - rounds);
+  w.u64(state.workers());
+  w.u64(rounds);
+  for (const IngestObservation& obs : state.unjournaled) {
+    w.f64(obs.effort);
+    w.f64(obs.feedback);
+    w.f64(obs.accuracy_sample);
+  }
+  const std::string record =
+      util::wire::encode_frame(kJournalTag, IngestState::kVersion, w.take());
+  // A failed append may leave a torn record that a later append would bury
+  // mid-file; until this one is whole on disk, compaction is due.
+  state.snapshot_due = true;
+  util::append_file_durable(checkpoint_path(), record);
+  state.snapshot_due = false;
+  timer.stop();
+  m.bytes.add(record.size());
+  state.journaled_rounds += rounds;
+  state.unjournaled.clear();
 }
 
 void Session::ingest_refit() {
@@ -283,7 +390,7 @@ void Session::ingest_refit() {
   }
 }
 
-void Session::ingest_redesign(const util::CancellationToken* cancel) {
+bool Session::ingest_redesign(const util::CancellationToken* cancel) {
   ingest_refit();
   IngestState& state = *ingest_;
   const std::size_t n = state.workers();
@@ -313,13 +420,14 @@ void Session::ingest_redesign(const util::CancellationToken* cancel) {
   if (cancel != nullptr && cancel->cancelled()) {
     // Cut short: keep the previous contracts posted; the next refit round
     // redesigns from scratch.
-    return;
+    return false;
   }
   for (std::size_t i = 0; i < n; ++i) {
     CCD_CHECK_MSG(designed.resolved[i] != 0,
                   "redesign batch left a worker unsolved");
     state.contracts[i] = designed.contract_at(fleet, i);
   }
+  return true;
 }
 
 bool Session::ingest_post(const util::CancellationToken* cancel) {
@@ -356,18 +464,20 @@ std::string Session::checkpoint_path() const {
   return checkpoint_file(env_.checkpoint_dir, id_, mode_);
 }
 
-void Session::checkpoint() const {
+void Session::checkpoint() {
   const std::string path = checkpoint_path();
   if (path.empty()) return;
   if (mode_ == SessionMode::kSimulation) {
     core::save_checkpoint(path, sim_->snapshot());
   } else {
-    ingest_checkpoint();
+    ingest_snapshot();
   }
 }
 
-void Session::ingest_checkpoint() const {
-  const IngestState& state = *ingest_;
+void Session::ingest_snapshot() {
+  IngestState& state = *ingest_;
+  CheckpointMetrics& m = CheckpointMetrics::instance();
+  metrics::ScopedTimer timer(&m.snapshot_us);
   util::wire::Writer w;
   w.u64(state.round);
   w.u64(state.rounds_budget);
@@ -400,7 +510,7 @@ void Session::ingest_checkpoint() const {
     }
     core::encode_contract(w, state.contracts[i]);
   }
-  // v2: the contract-designer policy section.
+  // The contract-designer policy section.
   w.u8(static_cast<std::uint8_t>(state.policy_config.kind));
   w.f64(state.policy_config.payment_cap);
   w.f64(state.policy_config.zoom_confidence);
@@ -412,8 +522,14 @@ void Session::ingest_checkpoint() const {
   for (const std::uint64_t word : rng_state.words) w.u64(word);
   w.u8(rng_state.has_cached_normal ? 1 : 0);
   w.f64(rng_state.cached_normal);
-  util::write_framed_file(checkpoint_path(), kIngestTag, IngestState::kVersion,
-                          w.take());
+  const std::string frame =
+      util::wire::encode_frame(kIngestTag, IngestState::kVersion, w.take());
+  util::atomic_write_file(checkpoint_path(), frame);
+  timer.stop();
+  m.bytes.add(frame.size());
+  state.unjournaled.clear();
+  state.journaled_rounds = 0;
+  state.snapshot_due = false;
 }
 
 std::unique_ptr<Session> Session::restore(const std::string& id,
@@ -437,18 +553,99 @@ std::unique_ptr<Session> Session::restore(const std::string& id,
     return session;
   }
 
-  const util::FramedPayload framed = util::read_framed_file(
-      path, kIngestTag, IngestState::kMinReadVersion, IngestState::kVersion);
-  session->ingest_ = decode_ingest_payload(framed.payload, framed.version);
+  const bool replayed =
+      session->load_ingest_image(util::read_file(path), "file '" + path + "'");
+  // Appends may only extend this session's own, compacted file.
+  session->ingest_->snapshot_due =
+      replayed || path != session->checkpoint_path();
   return session;
 }
 
+bool Session::load_ingest_image(const std::string& image,
+                                const std::string& context) {
+  namespace wire = util::wire;
+  constexpr std::uint64_t kAnySize = std::numeric_limits<std::uint64_t>::max();
+  const std::string_view all(image);
+  const wire::FrameHeader header =
+      wire::decode_frame_header(all, kIngestTag, IngestState::kVersion,
+                                IngestState::kVersion, kAnySize, context);
+  const std::string_view snapshot =
+      all.substr(wire::kFrameHeaderSize, header.payload_size);
+  wire::verify_frame_payload(header, snapshot, context);
+  ingest_ = decode_ingest_payload(std::string(snapshot));
+
+  bool replayed = false;
+  std::size_t offset = wire::kFrameHeaderSize + snapshot.size();
+  while (offset < all.size()) {
+    const std::string_view rest = all.substr(offset);
+    const std::string where =
+        context + " journal record at byte " + std::to_string(offset);
+    // A tail shorter than its header announces was cut mid-append: that
+    // round was never acknowledged, so it is dropped.
+    if (rest.size() < wire::kFrameHeaderSize) return true;
+    const wire::FrameHeader record_header =
+        wire::decode_frame_header(rest, kJournalTag, IngestState::kVersion,
+                                  IngestState::kVersion, kAnySize, where);
+    const std::uint64_t present = rest.size() - wire::kFrameHeaderSize;
+    if (record_header.payload_size > present) return true;
+    const std::string_view record =
+        rest.substr(wire::kFrameHeaderSize, record_header.payload_size);
+    if (util::fnv1a64(record.data(), record.size()) !=
+        record_header.checksum) {
+      if (record_header.payload_size == present) return true;  // torn tail
+      throw DataError("checksum mismatch in " + where +
+                      " (a damaged record before the tail)");
+    }
+    try {
+      replay_journal_record(std::string(record));
+    } catch (const DataError& e) {
+      throw DataError(where + ": " + e.what());
+    } catch (const Error& e) {
+      throw DataError(where + " failed to replay: " + e.what());
+    }
+    offset += wire::kFrameHeaderSize + record.size();
+    replayed = true;
+  }
+  return replayed;
+}
+
+void Session::replay_journal_record(const std::string& record) {
+  IngestState& state = *ingest_;
+  const std::size_t n = state.workers();
+  util::wire::Reader r(record);
+  const std::uint64_t first_round = r.u64();
+  const std::uint64_t workers = r.u64();
+  if (first_round != state.round) {
+    throw DataError("record starts at round " + std::to_string(first_round) +
+                    ", expected " + std::to_string(state.round));
+  }
+  if (workers != n) {
+    throw DataError("record carries " + std::to_string(workers) +
+                    " workers, snapshot has " + std::to_string(n));
+  }
+  const std::size_t rounds = r.count(n * kObservationBytes);
+  if (rounds == 0) throw DataError("record carries no rounds");
+  std::vector<IngestObservation> observations(rounds * n);
+  for (IngestObservation& obs : observations) {
+    obs.effort = r.f64();
+    obs.feedback = r.f64();
+    obs.accuracy_sample = r.f64();
+  }
+  r.finish();
+  std::vector<IngestObservation> round(n);
+  for (std::size_t t = 0; t < rounds; ++t) {
+    if (state.finished()) {
+      throw DataError("record replays past the round budget");
+    }
+    std::copy_n(observations.begin() + static_cast<std::ptrdiff_t>(t * n), n,
+                round.begin());
+    validate_observations(round);
+    ingest_step(round, nullptr);
+  }
+}
+
 std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
-    const std::string& payload, std::uint32_t version) {
-  CCD_CHECK_MSG(version >= IngestState::kMinReadVersion &&
-                    version <= IngestState::kVersion,
-                "unsupported ingest checkpoint payload version " +
-                    std::to_string(version));
+    const std::string& payload) {
   try {
     util::wire::Reader r(payload);
     auto state = std::make_unique<IngestState>();
@@ -492,32 +689,27 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
       state->samples.push_back(std::move(window));
       state->contracts.push_back(core::decode_contract(r));
     }
-    std::string policy_state;
+    const std::uint8_t raw_kind = r.u8();
+    CCD_CHECK_MSG(
+        raw_kind <= static_cast<std::uint8_t>(policy::Kind::kPostedPrice),
+        "ingest checkpoint names an unknown policy backend");
+    state->policy_config.kind = static_cast<policy::Kind>(raw_kind);
+    state->policy_config.payment_cap = r.f64();
+    state->policy_config.zoom_confidence = r.f64();
+    state->policy_config.zoom_max_depth = r.u64();
+    state->policy_config.price_levels = r.u64();
+    state->policy_config.peer_tolerance = r.f64();
+    const std::string policy_state = r.str();
     util::RngState rng_state;
-    bool have_rng = false;
-    if (version >= 2) {
-      const std::uint8_t raw_kind = r.u8();
-      CCD_CHECK_MSG(
-          raw_kind <= static_cast<std::uint8_t>(policy::Kind::kPostedPrice),
-          "ingest checkpoint names an unknown policy backend");
-      state->policy_config.kind = static_cast<policy::Kind>(raw_kind);
-      state->policy_config.payment_cap = r.f64();
-      state->policy_config.zoom_confidence = r.f64();
-      state->policy_config.zoom_max_depth = r.u64();
-      state->policy_config.price_levels = r.u64();
-      state->policy_config.peer_tolerance = r.f64();
-      policy_state = r.str();
-      for (std::uint64_t& word : rng_state.words) word = r.u64();
-      rng_state.has_cached_normal = r.u8() != 0;
-      rng_state.cached_normal = r.f64();
-      have_rng = true;
-    }
+    for (std::uint64_t& word : rng_state.words) word = r.u64();
+    rng_state.has_cached_normal = r.u8() != 0;
+    rng_state.cached_normal = r.f64();
     r.finish();
     state->requester.validate();
     state->policy_config.validate();
     state->policy = policy::make_policy(state->policy_config);
     state->policy->load_state(policy_state);
-    if (have_rng) state->rng.set_state(rng_state);
+    state->rng.set_state(rng_state);
     return state;
   } catch (const DataError&) {
     throw;
@@ -537,22 +729,19 @@ std::unique_ptr<Session> Session::restore_blob(const std::string& id,
   // The frame tag (bytes 4..8) names the session mode; full header and
   // checksum validation happens below under the tag-specific version.
   const std::string tag = blob.substr(4, 4);
-  SessionMode mode;
-  std::uint32_t min_version;
-  std::uint32_t max_version;
-  if (tag == "SCKP") {
-    mode = SessionMode::kSimulation;
-    min_version = core::SimCheckpoint::kMinReadVersion;
-    max_version = core::SimCheckpoint::kVersion;
-  } else if (tag == kIngestTag) {
-    mode = SessionMode::kIngest;
-    min_version = IngestState::kMinReadVersion;
-    max_version = IngestState::kVersion;
-  } else {
+  if (tag == kIngestTag) {
+    auto session = std::unique_ptr<Session>(
+        new Session(id, std::move(env), SessionMode::kIngest));
+    session->load_ingest_image(blob, "checkpoint blob");
+    session->ingest_->snapshot_due = true;  // the file here is not the blob
+    return session;
+  }
+  if (tag != "SCKP") {
     throw DataError("checkpoint blob has unknown frame tag '" + tag + "'");
   }
   const util::wire::FrameHeader header = util::wire::decode_frame_header(
-      blob, tag, min_version, max_version, blob.size(), "checkpoint blob");
+      blob, tag, core::SimCheckpoint::kMinReadVersion,
+      core::SimCheckpoint::kVersion, blob.size(), "checkpoint blob");
   if (blob.size() != util::wire::kFrameHeaderSize + header.payload_size) {
     throw DataError("checkpoint blob size mismatch (header announces " +
                     std::to_string(header.payload_size) + " payload bytes, " +
@@ -562,21 +751,17 @@ std::unique_ptr<Session> Session::restore_blob(const std::string& id,
   const std::string payload = blob.substr(util::wire::kFrameHeaderSize);
   util::wire::verify_frame_payload(header, payload, "checkpoint blob");
 
-  auto session =
-      std::unique_ptr<Session>(new Session(id, std::move(env), mode));
-  if (mode == SessionMode::kSimulation) {
-    core::SimCheckpoint checkpoint =
-        core::decode_checkpoint(payload, header.version);
-    checkpoint.config.checkpoint_path =
-        checkpoint_file(session->env_.checkpoint_dir, id, mode);
-    checkpoint.config.checkpoint_every =
-        checkpoint.config.checkpoint_path.empty()
-            ? 0
-            : session->env_.checkpoint_every;
-    session->sim_ = std::make_unique<core::StackelbergSimulator>(checkpoint);
-  } else {
-    session->ingest_ = decode_ingest_payload(payload, header.version);
-  }
+  auto session = std::unique_ptr<Session>(
+      new Session(id, std::move(env), SessionMode::kSimulation));
+  core::SimCheckpoint checkpoint =
+      core::decode_checkpoint(payload, header.version);
+  checkpoint.config.checkpoint_path = checkpoint_file(
+      session->env_.checkpoint_dir, id, SessionMode::kSimulation);
+  checkpoint.config.checkpoint_every =
+      checkpoint.config.checkpoint_path.empty()
+          ? 0
+          : session->env_.checkpoint_every;
+  session->sim_ = std::make_unique<core::StackelbergSimulator>(checkpoint);
   return session;
 }
 

@@ -19,12 +19,34 @@
 //    cache per redesign, copying each posted contract out of its class
 //    table.
 //
-// Durability: when a checkpoint directory is configured every completed
-// round snapshots crash-safely. Simulation sessions reuse core/checkpoint
-// verbatim (SimConfig::checkpoint_path pointed into the directory, frame
-// tag "SCKP"); ingest sessions serialize their own state under frame tag
-// "ISES" with the same util/wire + util/atomic_file primitives. A killed
-// daemon restores every open session bitwise-identically from these files.
+// Durability: when a checkpoint directory is configured every
+// `checkpoint_every`-th completed round is durable before it is
+// acknowledged. Simulation sessions reuse core/checkpoint verbatim
+// (SimConfig::checkpoint_path pointed into the directory, frame tag
+// "SCKP", one atomic rewrite per durable round). Ingest sessions keep one
+// file, `<id>.ingest.ckpt`, laid out as a journal:
+//
+//   [CCDF frame "ISES" v3: full snapshot of the session state]
+//   [CCDF frame "ISJR" v3: journal record] ...
+//
+// A record holds (first round, workers, rounds) and then rounds × workers
+// observations (effort, feedback, accuracy sample; 24 bytes each) — the
+// rounds ingested since the previous durable point. Each durable point
+// appends one record with a single O_APPEND write + fdatasync
+// (util::append_file_durable). A full snapshot (atomic rewrite, which
+// drops the journal) is written instead by checkpoint() — open, export,
+// evict, shutdown, restore — at the first durable point after a restore
+// whose image carried records or a torn tail (or was not this session's
+// own file), at the first durable point
+// after a round whose redesign or learner post was cut short by its
+// cancellation token (or threw), and once kJournalRounds rounds have been
+// journaled since the last snapshot. Restore decodes the snapshot and
+// replays every record through the same ingest step, uncancelled, so the
+// restored session is the live one bitwise. A tail record that is short
+// or fails its checksum was never acknowledged and is dropped; a damaged
+// record anywhere else, a record that does not start at the next round,
+// or one sized for another fleet is a DataError. A killed daemon restores
+// every open session bitwise-identically from these files.
 //
 // Thread safety: none here — the engine serializes operations per session
 // via mutex() while allowing different sessions to proceed in parallel.
@@ -64,15 +86,17 @@ class Session {
   ~Session();  // out-of-line: IngestState is incomplete here
 
   /// Restore a session from its checkpoint file (either mode; the mode is
-  /// recovered from the frame tag). Throws ccd::DataError on corruption.
+  /// recovered from the file suffix). Ingest files replay their journal.
+  /// Throws ccd::DataError on corruption.
   static std::unique_ptr<Session> restore(const std::string& id,
                                           const std::string& path, Env env);
 
   /// Restore a session from an in-memory checkpoint-frame image (the exact
   /// bytes of a .sim.ckpt / .ingest.ckpt file) — the gateway's failover
   /// handoff path: checkpoints travel over the wire, never through a
-  /// shared filesystem. The mode is recovered from the frame tag. Throws
-  /// ccd::DataError on corruption.
+  /// shared filesystem. The mode is recovered from the frame tag; ingest
+  /// images go through the same decoder (and journal replay) as restore().
+  /// Throws ccd::DataError on corruption.
   static std::unique_ptr<Session> restore_blob(const std::string& id,
                                                const std::string& blob,
                                                Env env);
@@ -94,15 +118,17 @@ class Session {
   /// ingest session; returns true when a redesign ran. A cancelled
   /// redesign leaves the previous contracts posted and reports via
   /// `cancel`. Throws ccd::ConfigError on a simulation session or a
-  /// wrong-sized observation vector.
+  /// wrong-sized observation vector, and ccd::DataError on a non-finite or
+  /// negative observation; either way the session is left untouched.
   bool ingest(const std::vector<IngestObservation>& observations,
               const util::CancellationToken* cancel);
 
   /// Currently posted contracts (zero contracts before the first design).
   std::vector<contract::Contract> contracts() const;
 
-  /// Force a snapshot now (no-op without a checkpoint directory).
-  void checkpoint() const;
+  /// Force a full snapshot now (no-op without a checkpoint directory). For
+  /// ingest sessions this also compacts the journal away.
+  void checkpoint();
   /// Delete the session's checkpoint file (on close; no-op when absent).
   void remove_checkpoint() const;
   /// Path of this session's checkpoint file ("" without a directory).
@@ -128,13 +154,29 @@ class Session {
  private:
   struct IngestState;
 
+  /// What one ingest step did: whether new contracts were posted, and
+  /// whether a redesign or post was cut short by the cancellation token
+  /// (such a round has no faithful uncancelled replay).
+  struct Step {
+    bool redesigned = false;
+    bool cut_short = false;
+  };
+
   Session(std::string id, Env env, SessionMode mode);
-  void ingest_checkpoint() const;
+  Step ingest_step(const std::vector<IngestObservation>& observations,
+                   const util::CancellationToken* cancel);
+  void ingest_durable_point();
+  void ingest_snapshot();
   void ingest_refit();
-  void ingest_redesign(const util::CancellationToken* cancel);
+  bool ingest_redesign(const util::CancellationToken* cancel);
   bool ingest_post(const util::CancellationToken* cancel);
+  /// The one ingest image decoder (files and blobs): snapshot frame, then
+  /// journal replay. Returns true when the image was not a bare snapshot
+  /// (it carried records or a torn tail).
+  bool load_ingest_image(const std::string& image, const std::string& context);
+  void replay_journal_record(const std::string& record);
   static std::unique_ptr<IngestState> decode_ingest_payload(
-      const std::string& payload, std::uint32_t version);
+      const std::string& payload);
 
   std::string id_;
   Env env_;

@@ -27,6 +27,22 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, slash);
 }
 
+/// Write all of `bytes` to `fd`, retrying short writes and EINTR; closes
+/// `fd` and throws on failure.
+void write_all(int fd, const std::string& bytes, const std::string& path) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ::ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      io_error("cannot write", path);
+    }
+    written += static_cast<std::size_t>(n);
+  }
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t size) {
@@ -43,18 +59,7 @@ void atomic_write_file(const std::string& path, const std::string& payload) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) io_error("cannot create", tmp);
-
-  std::size_t written = 0;
-  while (written < payload.size()) {
-    const ::ssize_t n =
-        ::write(fd, payload.data() + written, payload.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      io_error("cannot write", tmp);
-    }
-    written += static_cast<std::size_t>(n);
-  }
+  write_all(fd, payload, tmp);
   if (::fsync(fd) != 0) {
     ::close(fd);
     io_error("cannot fsync", tmp);
@@ -72,6 +77,17 @@ void atomic_write_file(const std::string& path, const std::string& payload) {
     ::fsync(dir_fd);
     ::close(dir_fd);
   }
+}
+
+void append_file_durable(const std::string& path, const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) io_error("cannot open for append", path);
+  write_all(fd, bytes, path);
+  if (::fdatasync(fd) != 0) {
+    ::close(fd);
+    io_error("cannot fdatasync", path);
+  }
+  if (::close(fd) != 0) io_error("cannot close", path);
 }
 
 std::string read_file(const std::string& path) {

@@ -7,6 +7,13 @@
 // torn mix — and the stray `.tmp` from an interrupted write is simply
 // overwritten by the next attempt.
 //
+// append_file_durable() is the journal primitive beside it: write the
+// bytes to the end of an existing file opened with O_APPEND, then
+// fdatasync. Opening per append means the bytes always land on the inode
+// the path names now — after an atomic_write_file rename, the new one. A
+// crash mid-append leaves the file's previous bytes intact plus at most a
+// torn prefix of the new ones, which a checksummed record format detects.
+//
 // Framed files add a fixed binary header so readers can reject torn,
 // truncated, or bit-rotted content deterministically instead of decoding
 // garbage:
@@ -38,6 +45,11 @@ std::uint64_t fnv1a64(const void* data, std::size_t size);
 /// Durably replace `path` with `payload` (write-temp + fsync + rename).
 /// Throws ccd::DataError on any I/O failure.
 void atomic_write_file(const std::string& path, const std::string& payload);
+
+/// Durably append `bytes` to the existing file `path` (O_APPEND write +
+/// fdatasync). Never creates the file. Throws ccd::DataError on any I/O
+/// failure.
+void append_file_durable(const std::string& path, const std::string& bytes);
 
 /// Read a whole file; throws ccd::DataError when missing or unreadable.
 std::string read_file(const std::string& path);

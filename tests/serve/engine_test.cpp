@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/stackelberg.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
@@ -474,6 +475,18 @@ TEST_F(EngineTest, IngestSessionRefitsAndResumesBitwise) {
   }
   expect_contracts_equal(engine.call(make_contracts("obs")).contracts,
                          reference);
+#ifndef CCD_NO_METRICS
+  // The journal's cost is visible to `ccdctl serve op=metrics`.
+  Request metrics_request;
+  metrics_request.op = Op::kMetrics;
+  const std::string dump = engine.call(metrics_request).text;
+  for (const char* name :
+       {"ccd.serve.checkpoint.append_us", "ccd.serve.checkpoint.snapshot_us",
+        "ccd.serve.checkpoint.bytes"}) {
+    EXPECT_NE(dump.find(name), std::string::npos) << name;
+  }
+  EXPECT_GT(counter_value("ccd.serve.checkpoint.bytes"), 0u);
+#endif
 
   // Wrong observation arity is a config error, not a crash.
   Request bad;
@@ -528,7 +541,7 @@ TEST_F(EngineTest, PolicyBackendSessionsMatchTheSimulatorAndResumeBitwise) {
 
 TEST_F(EngineTest, IngestLearnerSessionResumesBitwise) {
   // Ingest sessions with a learner backend post fresh arms every round and
-  // carry their learner state + RNG in the ISES v2 checkpoint; a restart
+  // carry their learner state + RNG in the ISES snapshot; a restart
   // mid-campaign (off the refit cadence) must continue bitwise.
   constexpr std::uint64_t kWorkers = 3;
   const auto ingest_request = [&](std::uint64_t round) {
@@ -566,22 +579,37 @@ TEST_F(EngineTest, IngestLearnerSessionResumesBitwise) {
     reference = engine.call(make_contracts("lobs")).contracts;
   }
 
-  EngineConfig durable = config();
-  durable.checkpoint_dir = dir_.string();
-  {
+  // Two restarts: a graceful one (shutdown snapshots the session) and a
+  // kill between snapshots, where the file is the open snapshot plus one
+  // journal record per round and restore replays them through the learner.
+  for (const bool killed : {false, true}) {
+    SCOPED_TRACE(killed ? "killed mid-journal" : "graceful restart");
+    const std::filesystem::path run_dir = dir_ / (killed ? "kill" : "stop");
+    std::filesystem::create_directories(run_dir);
+    const std::string path = (run_dir / "lobs.ingest.ckpt").string();
+    EngineConfig durable = config();
+    durable.checkpoint_dir = run_dir.string();
+    std::string journaled;
+    {
+      Engine engine(durable);
+      ASSERT_EQ(engine.call(open).status, Status::kOk);
+      const std::uintmax_t snapshot_bytes = std::filesystem::file_size(path);
+      for (std::uint64_t t = 0; t < 6; ++t) {
+        ASSERT_EQ(engine.call(ingest_request(t)).status, Status::kOk);
+      }
+      journaled = util::read_file(path);
+      ASSERT_GT(journaled.size(), snapshot_bytes);
+    }
+    // Engine shutdown compacted the journal; a kill -9 would have left it.
+    if (killed) util::atomic_write_file(path, journaled);
     Engine engine(durable);
-    ASSERT_EQ(engine.call(open).status, Status::kOk);
-    for (std::uint64_t t = 0; t < 6; ++t) {
+    ASSERT_EQ(engine.resume_sessions().restored, 1u);
+    for (std::uint64_t t = 6; t < 10; ++t) {
       ASSERT_EQ(engine.call(ingest_request(t)).status, Status::kOk);
     }
+    expect_contracts_equal(engine.call(make_contracts("lobs")).contracts,
+                           reference);
   }
-  Engine engine(durable);
-  ASSERT_EQ(engine.resume_sessions().restored, 1u);
-  for (std::uint64_t t = 6; t < 10; ++t) {
-    ASSERT_EQ(engine.call(ingest_request(t)).status, Status::kOk);
-  }
-  expect_contracts_equal(engine.call(make_contracts("lobs")).contracts,
-                         reference);
 }
 
 TEST_F(EngineTest, OpenValidationAndIdempotence) {

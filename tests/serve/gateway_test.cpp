@@ -497,6 +497,74 @@ TEST_F(GatewayTest, IdleEvictedSessionsFailOverBitwise) {
   }
 }
 
+TEST_F(GatewayTest, IngestSessionKilledMidJournalFailsOverBitwise) {
+  // The dead shard's file is the open snapshot plus one journal record per
+  // acknowledged round; the handoff ships that raw image and the survivor
+  // replays it.
+  constexpr std::uint64_t kWorkers = 4;
+  constexpr std::uint64_t kBeforeKill = 7;
+  constexpr std::uint64_t kRounds = 12;
+  const auto ingest = [](std::uint64_t round) {
+    Request request;
+    request.op = Op::kIngest;
+    request.session = "ing";
+    for (std::uint64_t w = 0; w < kWorkers; ++w) {
+      IngestObservation obs;
+      obs.effort = 1.0 + 0.25 * static_cast<double>((round + w) % 5);
+      obs.feedback = 2.0 + 7.5 * obs.effort - 0.9 * obs.effort * obs.effort;
+      obs.accuracy_sample = 0.4 + 0.1 * static_cast<double>((3 * round + w) % 7);
+      request.observations.push_back(obs);
+    }
+    return request;
+  };
+  Request open;
+  open.op = Op::kOpen;
+  open.session = "ing";
+  open.open.mode = SessionMode::kIngest;
+  open.open.rounds = 0;
+  open.open.workers = kWorkers;
+  open.open.refit_every = 4;
+  start_fleet(3);
+  ASSERT_EQ(call(open).status, Status::kOk);
+
+  const std::string victim = gateway_->shard_for("ing");
+  const std::size_t victim_index = victim.back() - '0';
+  const std::string path =
+      (dir_ / (victim + ".ckpt") /
+       ("ing" + std::string(Session::checkpoint_suffix(SessionMode::kIngest))))
+          .string();
+  const std::string snapshot = util::read_file(path);
+  for (std::uint64_t t = 0; t < kBeforeKill; ++t) {
+    const Response r = call(ingest(t));
+    ASSERT_EQ(r.status, Status::kOk) << r.message;
+  }
+  const std::string journaled = util::read_file(path);
+  ASSERT_GT(journaled.size(), snapshot.size());
+  ASSERT_EQ(journaled.compare(0, snapshot.size(), snapshot), 0);
+
+  // Stopping the engine compacts the journal; a kill -9 leaves it as it
+  // was, so put the mid-journal image back before the handoff reads it.
+  stop_shard(victim_index);
+  util::atomic_write_file(path, journaled);
+  ASSERT_EQ(gateway_->retire_shard(victim).status, Status::kOk);
+  EXPECT_NE(gateway_->shard_for("ing"), victim);
+
+  for (std::uint64_t t = kBeforeKill; t < kRounds; ++t) {
+    const Response r = call(ingest(t));
+    ASSERT_EQ(r.status, Status::kOk) << r.message;
+    EXPECT_EQ(r.session.next_round, t + 1);
+  }
+  const Response got = call(make_contracts("ing"));
+  ASSERT_EQ(got.status, Status::kOk) << got.message;
+  Session bare("ref", open.open, Session::Env{});
+  for (std::uint64_t t = 0; t < kRounds; ++t) {
+    bare.ingest(ingest(t).observations, nullptr);
+  }
+  expect_contracts_equal(got.contracts, bare.contracts());
+  EXPECT_EQ(got.session.cumulative_requester_utility,
+            bare.status().cumulative_requester_utility);
+}
+
 TEST_F(GatewayTest, RuntimeAdmissionValidatesLikeStartup) {
   start_fleet(2);
 

@@ -45,6 +45,22 @@ TEST_F(AtomicFileTest, WriteReplacesExistingFile) {
   EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
 }
 
+TEST_F(AtomicFileTest, AppendExtendsTheFileThePathNamesNow) {
+  atomic_write_file(path_, "snapshot-1|");
+  append_file_durable(path_, "record-a|");
+  // A rename replaces the inode; the next append must land on the new one.
+  atomic_write_file(path_, "snapshot-2|");
+  append_file_durable(path_, "record-b|");
+  append_file_durable(path_, "record-c|");
+  EXPECT_EQ(read_file(path_), "snapshot-2|record-b|record-c|");
+}
+
+TEST_F(AtomicFileTest, AppendNeverCreatesTheFile) {
+  const std::string absent = (dir_ / "absent").string();
+  EXPECT_THROW(append_file_durable(absent, "record"), DataError);
+  EXPECT_FALSE(std::filesystem::exists(absent));
+}
+
 TEST_F(AtomicFileTest, ReadMissingFileThrowsDataError) {
   EXPECT_THROW(read_file((dir_ / "absent").string()), DataError);
 }
