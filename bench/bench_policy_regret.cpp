@@ -93,15 +93,6 @@ BackendRun run_backend(policy::Kind kind,
                        std::size_t rounds, double oracle_per_round,
                        contract::DesignCache& cache) {
   const std::size_t n = specs.size();
-  std::vector<policy::WorkerView> views(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    views[i].psi = specs[i].psi;
-    views[i].beta = specs[i].incentives.beta;
-    views[i].omega = specs[i].incentives.omega;
-    views[i].weight = specs[i].weight;
-    views[i].mu = specs[i].mu;
-    views[i].intervals = specs[i].intervals;
-  }
 
   policy::PolicyConfig config;
   config.kind = kind;
@@ -118,16 +109,15 @@ BackendRun run_backend(policy::Kind kind,
   for (std::size_t t = 0; t < rounds; ++t) {
     policy::PostEnv env;
     env.cache = &cache;
-    backend->post(t, true, views, contracts, rng, env);
+    backend->post(t, true, specs, contracts, rng, env);
     double round_utility = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const contract::BestResponse response = contract::best_response(
-          contracts[i], views[i].psi,
-          {views[i].beta, views[i].omega});
+          contracts[i], specs[i].psi, specs[i].incentives);
       outcomes[i].active = true;
       outcomes[i].feedback = response.feedback;
-      outcomes[i].reward = views[i].weight * response.feedback -
-                           views[i].mu * response.compensation;
+      outcomes[i].reward = specs[i].weight * response.feedback -
+                           specs[i].mu * response.compensation;
       round_utility += outcomes[i].reward;
     }
     backend->observe(t, outcomes, rng);

@@ -17,79 +17,31 @@ constexpr const char* kTag = "SCKP";
 using ByteWriter = util::wire::Writer;
 using ByteReader = util::wire::Reader;
 
-void check_version(std::uint32_t version) {
-  if (version < SimCheckpoint::kMinReadVersion ||
-      version > SimCheckpoint::kVersion) {
-    throw DataError("unsupported checkpoint payload version " +
-                    std::to_string(version));
-  }
-}
-
-void write_config(ByteWriter& w, const SimConfig& config,
-                  std::uint32_t version) {
+/// SimConfig minus the requester's fields, which travel in the
+/// RequesterState section.
+void write_config(ByteWriter& w, const SimConfig& config) {
   w.u64(config.rounds);
-  w.f64(config.requester.rho);
-  w.f64(config.requester.kappa);
-  w.f64(config.requester.gamma);
-  w.f64(config.requester.mu);
-  w.f64(config.requester.beta);
-  w.f64(config.requester.omega_malicious);
-  w.u64(config.requester.intervals);
-  w.f64(config.requester.accuracy_floor);
-  w.f64(config.requester.weight_cap);
   w.f64(config.feedback_noise);
   w.f64(config.accuracy_noise);
   w.u64(config.redesign_every);
-  w.f64(config.ema_alpha);
-  w.f64(config.suspicion_threshold);
   w.u64(config.seed);
   w.u64(config.checkpoint_every);
   w.str(config.checkpoint_path);
   w.u64(config.threads);
-  if (version >= 3) {
-    w.u8(static_cast<std::uint8_t>(config.policy.kind));
-    w.f64(config.policy.payment_cap);
-    w.f64(config.policy.zoom_confidence);
-    w.u64(config.policy.zoom_max_depth);
-    w.u64(config.policy.price_levels);
-    w.f64(config.policy.peer_tolerance);
-  } else {
-    // A v2 payload cannot carry a policy section; refuse to silently drop
-    // a non-default backend.
-    CCD_CHECK_MSG(config.policy.kind == policy::Kind::kBip,
-                  "v2 checkpoints support only the bip policy backend");
-  }
+  encode_policy_config(w, config.policy);
 }
 
-SimConfig read_config(ByteReader& r, std::uint32_t version) {
+SimConfig read_config(ByteReader& r) {
   SimConfig config;
   config.rounds = r.u64();
-  config.requester.rho = r.f64();
-  config.requester.kappa = r.f64();
-  config.requester.gamma = r.f64();
-  config.requester.mu = r.f64();
-  config.requester.beta = r.f64();
-  config.requester.omega_malicious = r.f64();
-  config.requester.intervals = r.u64();
-  config.requester.accuracy_floor = r.f64();
-  config.requester.weight_cap = r.f64();
   config.feedback_noise = r.f64();
   config.accuracy_noise = r.f64();
   config.redesign_every = r.u64();
-  config.ema_alpha = r.f64();
-  config.suspicion_threshold = r.f64();
   config.seed = r.u64();
   config.checkpoint_every = r.u64();
   config.checkpoint_path = r.str();
   config.threads = r.u64();
-  if (version >= 3) {
-    config.policy.kind = static_cast<policy::Kind>(r.u8());
-    config.policy.payment_cap = r.f64();
-    config.policy.zoom_confidence = r.f64();
-    config.policy.zoom_max_depth = r.u64();
-    config.policy.price_levels = r.u64();
-    config.policy.peer_tolerance = r.f64();
-  }
+  config.policy = decode_policy_config(r);
   return config;
 }
 
@@ -227,52 +179,84 @@ contract::Contract decode_contract(util::wire::Reader& r) {
                             std::move(payments));
 }
 
-std::string encode_checkpoint(const SimCheckpoint& checkpoint,
-                              std::uint32_t version) {
-  check_version(version);
+void encode_policy_config(util::wire::Writer& w,
+                          const policy::PolicyConfig& config) {
+  w.u8(static_cast<std::uint8_t>(config.kind));
+  w.f64(config.payment_cap);
+  w.f64(config.zoom_confidence);
+  w.u64(config.zoom_max_depth);
+  w.u64(config.price_levels);
+  w.f64(config.peer_tolerance);
+}
+
+policy::PolicyConfig decode_policy_config(util::wire::Reader& r) {
+  policy::PolicyConfig config;
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(policy::Kind::kPostedPrice)) {
+    throw DataError("unknown policy backend kind " + std::to_string(kind));
+  }
+  config.kind = static_cast<policy::Kind>(kind);
+  config.payment_cap = r.f64();
+  config.zoom_confidence = r.f64();
+  config.zoom_max_depth = r.u64();
+  config.price_levels = r.u64();
+  config.peer_tolerance = r.f64();
+  return config;
+}
+
+void encode_rng_state(util::wire::Writer& w, const util::RngState& state) {
+  for (const std::uint64_t word : state.words) w.u64(word);
+  w.u8(state.has_cached_normal ? 1 : 0);
+  w.f64(state.cached_normal);
+}
+
+util::RngState decode_rng_state(util::wire::Reader& r) {
+  util::RngState state;
+  for (std::uint64_t& word : state.words) word = r.u64();
+  state.has_cached_normal = r.u8() != 0;
+  state.cached_normal = r.f64();
+  return state;
+}
+
+std::string encode_checkpoint(const SimCheckpoint& checkpoint) {
   ByteWriter w;
-  write_config(w, checkpoint.config, version);
+  write_config(w, checkpoint.config);
   w.u64(checkpoint.workers.size());
   for (const SimWorkerSpec& spec : checkpoint.workers) write_worker(w, spec);
   w.u64(checkpoint.next_round);
-  for (const std::uint64_t word : checkpoint.rng.words) w.u64(word);
-  w.u8(checkpoint.rng.has_cached_normal ? 1 : 0);
-  w.f64(checkpoint.rng.cached_normal);
-  w.f64_vec(checkpoint.est_accuracy);
-  w.f64_vec(checkpoint.est_malicious);
+  encode_rng_state(w, checkpoint.rng);
+  RequesterState(checkpoint.config.requester, checkpoint.config.ema_alpha,
+                 checkpoint.config.suspicion_threshold,
+                 checkpoint.est_accuracy, checkpoint.est_malicious)
+      .encode(w);
   w.u64(checkpoint.contracts.size());
   for (const contract::Contract& c : checkpoint.contracts) {
     encode_contract(w, c);
   }
   w.f64_vec(checkpoint.last_feedback);
   write_history(w, checkpoint.history);
-  if (version >= 3) {
-    w.str(checkpoint.policy_state);
-  } else {
-    CCD_CHECK_MSG(checkpoint.policy_state.empty(),
-                  "v2 checkpoints cannot carry learner state");
-  }
+  w.str(checkpoint.policy_state);
   return w.take();
 }
 
-SimCheckpoint decode_checkpoint(const std::string& payload,
-                                std::uint32_t version) {
-  check_version(version);
+SimCheckpoint decode_checkpoint(const std::string& payload) {
   try {
     ByteReader r(payload);
     SimCheckpoint checkpoint;
-    checkpoint.config = read_config(r, version);
+    checkpoint.config = read_config(r);
     const std::size_t workers = r.count(64);
     checkpoint.workers.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
       checkpoint.workers.push_back(read_worker(r));
     }
     checkpoint.next_round = r.u64();
-    for (std::uint64_t& word : checkpoint.rng.words) word = r.u64();
-    checkpoint.rng.has_cached_normal = r.u8() != 0;
-    checkpoint.rng.cached_normal = r.f64();
-    checkpoint.est_accuracy = r.f64_vec();
-    checkpoint.est_malicious = r.f64_vec();
+    checkpoint.rng = decode_rng_state(r);
+    const RequesterState requester = RequesterState::decode(r);
+    checkpoint.config.requester = requester.config();
+    checkpoint.config.ema_alpha = requester.ema_alpha();
+    checkpoint.config.suspicion_threshold = requester.suspicion_threshold();
+    checkpoint.est_accuracy = requester.est_accuracy();
+    checkpoint.est_malicious = requester.est_malicious();
     const std::size_t contracts = r.count(8);
     checkpoint.contracts.reserve(contracts);
     for (std::size_t i = 0; i < contracts; ++i) {
@@ -280,13 +264,12 @@ SimCheckpoint decode_checkpoint(const std::string& payload,
     }
     checkpoint.last_feedback = r.f64_vec();
     checkpoint.history = read_history(r);
-    if (version >= 3) checkpoint.policy_state = r.str();
+    checkpoint.policy_state = r.str();
     r.finish();
 
     const std::size_t n = checkpoint.workers.size();
     CCD_CHECK_MSG(n >= 1, "checkpoint has no workers");
     CCD_CHECK_MSG(checkpoint.est_accuracy.size() == n &&
-                      checkpoint.est_malicious.size() == n &&
                       checkpoint.contracts.size() == n &&
                       checkpoint.last_feedback.size() == n &&
                       checkpoint.history.worker_history.size() == n,
@@ -318,8 +301,8 @@ SimCheckpoint load_checkpoint(const std::string& path,
   return util::with_retry("checkpoint_read", retry, [&](std::size_t attempt) {
     CCD_FAULT_POINT("io.checkpoint_read", attempt, DataError);
     const util::FramedPayload framed = util::read_framed_file(
-        path, kTag, SimCheckpoint::kMinReadVersion, SimCheckpoint::kVersion);
-    return decode_checkpoint(framed.payload, framed.version);
+        path, kTag, SimCheckpoint::kVersion, SimCheckpoint::kVersion);
+    return decode_checkpoint(framed.payload);
   });
 }
 

@@ -14,7 +14,7 @@
 // leaves the previous complete checkpoint intact. Loading a corrupted,
 // truncated, or torn file throws ccd::DataError — never UB, never a
 // half-restored simulator. kVersion is bumped whenever the payload layout
-// changes; readers reject versions they do not understand.
+// changes, and a reader decodes exactly that one version.
 //
 // save/load wrap their I/O in util::with_retry (metrics: `ccd.io.*`) and
 // expose fault-injection sites "io.checkpoint_write" / "io.checkpoint_read"
@@ -28,6 +28,7 @@
 
 #include "contract/contract.hpp"
 #include "core/stackelberg.hpp"
+#include "policy/policy.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -35,13 +36,12 @@
 namespace ccd::core {
 
 struct SimCheckpoint {
-  /// Current payload layout version (frame tag "SCKP").
+  /// Payload layout version (frame tag "SCKP"), the only one decoded.
   /// v2: SimWorkerSpec churn window (arrive_round / depart_round).
   /// v3: policy backend config + opaque learner state (ccd::policy).
-  /// Readers accept v2 files (they predate the policy seam and restore
-  /// with the default BiP backend and empty learner state).
-  static constexpr std::uint32_t kVersion = 3;
-  static constexpr std::uint32_t kMinReadVersion = 2;
+  /// v4: the requester's config, EMA rate, suspicion threshold and
+  ///     estimates travel as the RequesterState section ISES also carries.
+  static constexpr std::uint32_t kVersion = 4;
 
   SimConfig config;
   std::vector<SimWorkerSpec> workers;
@@ -57,21 +57,16 @@ struct SimCheckpoint {
   /// a resumed run starts un-cancelled).
   SimResult history;
   /// Opaque learner state of the configured policy backend (empty for
-  /// stateless backends, i.e. every v2 checkpoint). Produced by
-  /// Policy::save_state() at a round boundary; restored verbatim.
+  /// stateless backends). Produced by Policy::save_state() at a round
+  /// boundary; restored verbatim.
   std::string policy_state;
 };
 
-/// Serialize / parse the checkpoint payload (the bytes inside the frame).
-/// `version` selects the payload layout: kVersion (the default) or the
-/// still-readable kMinReadVersion (encoding v2 drops the policy fields and
-/// requires a default-BiP, stateless checkpoint — used by back-compat
-/// tests). decode_checkpoint throws ccd::DataError on any malformed
-/// payload or unsupported version.
-std::string encode_checkpoint(const SimCheckpoint& checkpoint,
-                              std::uint32_t version = SimCheckpoint::kVersion);
-SimCheckpoint decode_checkpoint(const std::string& payload,
-                                std::uint32_t version = SimCheckpoint::kVersion);
+/// Serialize / parse the kVersion checkpoint payload (the bytes inside the
+/// frame). decode_checkpoint throws ccd::DataError on any malformed
+/// payload.
+std::string encode_checkpoint(const SimCheckpoint& checkpoint);
+SimCheckpoint decode_checkpoint(const std::string& payload);
 
 /// Contract codec shared by checkpoints and the serve wire protocol: a
 /// zero contract is a bare 0 count; otherwise knot count, delta, knots,
@@ -80,6 +75,18 @@ SimCheckpoint decode_checkpoint(const std::string& payload,
 /// validation).
 void encode_contract(util::wire::Writer& w, const contract::Contract& contract);
 contract::Contract decode_contract(util::wire::Reader& r);
+
+/// Policy-backend config codec shared by SCKP and ISES: kind (u8), then
+/// the learners' knobs. decode_policy_config throws ccd::DataError on a
+/// backend kind it does not know; the caller validates the knobs.
+void encode_policy_config(util::wire::Writer& w,
+                          const policy::PolicyConfig& config);
+policy::PolicyConfig decode_policy_config(util::wire::Reader& r);
+
+/// RNG state codec shared by SCKP and ISES: the four xoshiro words, the
+/// cached-deviate flag (u8) and the cached Box–Muller deviate.
+void encode_rng_state(util::wire::Writer& w, const util::RngState& state);
+util::RngState decode_rng_state(util::wire::Reader& r);
 
 /// Durably write / read a checkpoint file, retrying transient I/O failures
 /// under `retry`. Load failures (including corruption) surface as

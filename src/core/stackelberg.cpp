@@ -1,7 +1,6 @@
 #include "core/stackelberg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "contract/worker_response.hpp"
@@ -89,8 +88,10 @@ StackelbergSimulator::StackelbergSimulator(const SimCheckpoint& checkpoint)
   // dynamic state verbatim so the continuation is bitwise-exact.
   next_round_ = checkpoint.next_round;
   rng_.set_state(checkpoint.rng);
-  est_accuracy_ = checkpoint.est_accuracy;
-  est_malicious_ = checkpoint.est_malicious;
+  requester_ = RequesterState(config_.requester, config_.ema_alpha,
+                              config_.suspicion_threshold,
+                              checkpoint.est_accuracy,
+                              checkpoint.est_malicious);
   contracts_ = checkpoint.contracts;
   last_feedback_ = checkpoint.last_feedback;
   history_ = checkpoint.history;
@@ -104,8 +105,8 @@ void StackelbergSimulator::init_fresh_state() {
   const std::size_t n = workers_.size();
   rng_ = util::Rng(config_.seed);
   next_round_ = 0;
-  est_accuracy_.assign(n, config_.requester.accuracy_floor);
-  est_malicious_.assign(n, 0.05);
+  requester_ = RequesterState(config_.requester, config_.ema_alpha,
+                              config_.suspicion_threshold, n);
   contracts_.assign(n, contract::Contract{});
   last_feedback_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -122,8 +123,8 @@ SimCheckpoint StackelbergSimulator::snapshot() const {
   checkpoint.workers = workers_;
   checkpoint.next_round = next_round_;
   checkpoint.rng = rng_.state();
-  checkpoint.est_accuracy = est_accuracy_;
-  checkpoint.est_malicious = est_malicious_;
+  checkpoint.est_accuracy = requester_.est_accuracy();
+  checkpoint.est_malicious = requester_.est_malicious();
   checkpoint.contracts = contracts_;
   checkpoint.last_feedback = last_feedback_;
   checkpoint.history = history_;
@@ -175,33 +176,22 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
     // machines and builds). Learning backends post fresh arms every round.
     const bool redesign_round = t % config_.redesign_every == 0;
     const bool learning = policy_->learns();
-    std::vector<policy::WorkerView> views;
+    std::vector<contract::SubproblemSpec> specs;
     if (redesign_round || learning) {
-      views.resize(n);
+      specs.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        policy::WorkerView& view = views[i];
-        view.psi = workers_[i].psi;
-        view.beta = workers_[i].beta;
-        view.omega = est_malicious_[i] >= config_.suspicion_threshold
-                         ? config_.requester.omega_malicious
-                         : 0.0;
-        view.active = workers_[i].active_at(t);
+        const SimWorkerSpec& w = workers_[i];
+        specs.push_back(requester_.spec(i, w.psi, w.beta, w.partners));
         // Churned-out workers get weight 0, which BiP resolves to the zero
-        // contract through the cheap §V elimination path.
-        view.weight = view.active
-                          ? feedback_weight(config_.requester,
-                                            est_accuracy_[i],
-                                            est_malicious_[i],
-                                            workers_[i].partners)
-                          : 0.0;
-        view.mu = config_.requester.mu;
-        view.intervals = config_.requester.intervals;
+        // contract through the cheap §V elimination path and the learners
+        // answer with the zero contract.
+        if (!w.active_at(t)) specs.back().weight = 0.0;
       }
       policy::PostEnv env;
       env.pool = &pool;
       env.cache = &design_cache_;
       env.cancel = cancel;
-      if (!policy_->post(t, redesign_round, views, contracts_, rng_, env)) {
+      if (!policy_->post(t, redesign_round, specs, contracts_, rng_, env)) {
         // The design batch was cut short: drop the round entirely
         // (contracts may be partially refreshed, but a resumed run
         // re-enters this same round and rebuilds them from the
@@ -213,7 +203,7 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
 
     if (hook_ != nullptr) {
       hook_->on_contracts_posted(t, redesign_round, contracts_,
-                                 est_malicious_, rng_);
+                                 requester_.est_malicious(), rng_);
     }
 
     RoundRecord record;
@@ -230,7 +220,7 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
         // Outside the churn window: no participation, no pay, no RNG
         // draws; keep the history rectangular with a zero row.
         WorkerRound idle;
-        idle.estimated_malicious = est_malicious_[i];
+        idle.estimated_malicious = requester_.est_malicious()[i];
         history_.worker_history[i].push_back(idle);
         continue;
       }
@@ -264,25 +254,15 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
         accuracy_sample =
             hook_->adjust_accuracy_sample(t, i, accuracy_sample, rng_);
       }
-      accuracy_sample = std::max(0.0, accuracy_sample);
-      est_accuracy_[i] = (1.0 - config_.ema_alpha) * est_accuracy_[i] +
-                         config_.ema_alpha * accuracy_sample;
-      // Maliciousness signal: biased workers produce large deviations.
-      const double signal =
-          1.0 / (1.0 + std::exp(-4.0 * (accuracy_sample - 0.9)));
-      est_malicious_[i] = (1.0 - config_.ema_alpha) * est_malicious_[i] +
-                          config_.ema_alpha * signal;
-
-      const double weight =
-          feedback_weight(config_.requester, est_accuracy_[i],
-                          est_malicious_[i], w.partners);
+      requester_.observe(i, std::max(0.0, accuracy_sample));
+      const double weight = requester_.weight(i, w.partners);
 
       WorkerRound wr;
       wr.effort = br.effort;
       wr.feedback = feedback;
       wr.compensation = compensation;
       wr.worker_utility = compensation - w.beta * br.effort + omega * feedback;
-      wr.estimated_malicious = est_malicious_[i];
+      wr.estimated_malicious = requester_.est_malicious()[i];
       wr.weight = weight;
       history_.worker_history[i].push_back(wr);
 
@@ -295,7 +275,7 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
         // saw the worker when it posted.
         outcomes[i].active = true;
         outcomes[i].feedback = feedback;
-        outcomes[i].reward = views[i].weight * feedback -
+        outcomes[i].reward = specs[i].weight * feedback -
                              config_.requester.mu * contracts_[i].pay(feedback);
       }
     }

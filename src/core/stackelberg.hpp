@@ -6,8 +6,9 @@
 // The simulator models what the one-shot pipeline cannot: adaptation. The
 // requester only observes noisy per-round signals (realized feedback and a
 // noisy score-deviation sample), keeps exponential-moving-average estimates
-// of each worker's accuracy and maliciousness, and re-designs contracts on
-// a schedule. Worker specs can switch behaviour mid-simulation (an honest
+// of each worker's accuracy and maliciousness (core::RequesterState, the
+// estimator serve ingest sessions share), and re-designs contracts on a
+// schedule. Worker specs can switch behaviour mid-simulation (an honest
 // worker turning malicious, or vice versa), which is the "adaptive to
 // changes in workers' behavior" property the paper claims.
 // Durability & deadlines: run(cancel) polls the token at round boundaries
@@ -104,7 +105,7 @@ struct SimConfig {
 
   /// Contract designer backend (ccd::policy): the paper's BiP solver by
   /// default, or one of the online learners. Learner state is checkpointed
-  /// (SCKP v3) and restored alongside the rest of the dynamic state, and
+  /// (SCKP v4) and restored alongside the rest of the dynamic state, and
   /// backends draw only from the simulator's checkpointed RNG, so every
   /// backend keeps the bitwise resume contract.
   policy::PolicyConfig policy{};
@@ -258,8 +259,8 @@ class StackelbergSimulator {
   // bitwise-exact.
   std::size_t next_round_ = 0;
   util::Rng rng_;
-  std::vector<double> est_accuracy_;
-  std::vector<double> est_malicious_;
+  /// EMA estimates and the Eq. 5 weights / design specs they imply.
+  RequesterState requester_;
   std::vector<contract::Contract> contracts_;
   std::vector<double> last_feedback_;
   SimResult history_;

@@ -118,21 +118,12 @@ std::unique_ptr<Policy> make_policy(const PolicyConfig& config) {
 BipPolicy::BipPolicy(const PolicyConfig& config) { config.validate(); }
 
 bool BipPolicy::post(std::size_t round, bool redesign,
-                     const std::vector<WorkerView>& views,
+                     const std::vector<contract::SubproblemSpec>& specs,
                      std::vector<contract::Contract>& contracts,
                      util::Rng& rng, const PostEnv& env) {
   (void)round;
   (void)rng;
   if (!redesign) return true;
-  std::vector<contract::SubproblemSpec> specs(views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    specs[i].psi = views[i].psi;
-    specs[i].incentives.beta = views[i].beta;
-    specs[i].incentives.omega = views[i].omega;
-    specs[i].weight = views[i].weight;
-    specs[i].mu = views[i].mu;
-    specs[i].intervals = views[i].intervals;
-  }
   const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
   contract::FleetOptions options;
   options.pool = env.pool;
@@ -146,7 +137,7 @@ bool BipPolicy::post(std::size_t round, bool redesign,
     // as the pre-policy inline redesign did.
     return false;
   }
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     CCD_CHECK_MSG(designed.resolved[i] != 0,
                   "redesign batch left a worker unsolved");
     contracts[i] = designed.contract_at(fleet, i);
@@ -226,19 +217,20 @@ void ZoomingBanditPolicy::maybe_split(Learner& learner,
   }
 }
 
-bool ZoomingBanditPolicy::post(std::size_t round, bool redesign,
-                               const std::vector<WorkerView>& views,
-                               std::vector<contract::Contract>& contracts,
-                               util::Rng& rng, const PostEnv& env) {
+bool ZoomingBanditPolicy::post(
+    std::size_t round, bool redesign,
+    const std::vector<contract::SubproblemSpec>& specs,
+    std::vector<contract::Contract>& contracts, util::Rng& rng,
+    const PostEnv& env) {
   (void)round;
   (void)redesign;
   (void)rng;
   (void)env;
-  if (learners_.size() < views.size()) learners_.resize(views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const WorkerView& view = views[i];
+  if (learners_.size() < specs.size()) learners_.resize(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const contract::SubproblemSpec& spec = specs[i];
     Learner& learner = learners_[i];
-    if (!view.active || view.weight <= 0.0) {
+    if (spec.weight <= 0.0) {
       contracts[i] = contract::Contract{};
       learner.pending = kNoPending;
       continue;
@@ -248,8 +240,8 @@ bool ZoomingBanditPolicy::post(std::size_t round, bool redesign,
     const Cell& cell = learner.cells[chosen];
     const double payment = clamp01(cell.cx) * config_.payment_cap;
     const double threshold =
-        std::clamp(cell.cy, 0.05, 1.0) * view.psi.usable_domain();
-    contracts[i] = threshold_contract(view.psi, threshold, payment);
+        std::clamp(cell.cy, 0.05, 1.0) * spec.psi.usable_domain();
+    contracts[i] = threshold_contract(spec.psi, threshold, payment);
     learner.pending = static_cast<std::uint32_t>(chosen);
   }
   return true;
@@ -366,18 +358,18 @@ void PostedPricePolicy::maybe_eliminate(Learner& learner) {
 }
 
 bool PostedPricePolicy::post(std::size_t round, bool redesign,
-                             const std::vector<WorkerView>& views,
+                             const std::vector<contract::SubproblemSpec>& specs,
                              std::vector<contract::Contract>& contracts,
                              util::Rng& rng, const PostEnv& env) {
   (void)round;
   (void)redesign;
   (void)rng;
   (void)env;
-  if (learners_.size() < views.size()) learners_.resize(views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const WorkerView& view = views[i];
+  if (learners_.size() < specs.size()) learners_.resize(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const contract::SubproblemSpec& spec = specs[i];
     Learner& learner = learners_[i];
-    if (!view.active || view.weight <= 0.0) {
+    if (spec.weight <= 0.0) {
       contracts[i] = contract::Contract{};
       learner.pending = kNoPending;
       continue;
@@ -395,14 +387,14 @@ bool PostedPricePolicy::post(std::size_t round, bool redesign,
       }
     }
     CCD_CHECK(chosen < learner.arms.size());
-    const double domain = view.psi.usable_domain();
+    const double domain = spec.psi.usable_domain();
     double threshold = 0.5 * domain;
     if (peer_rounds_ > 0) {
       const double target = config_.peer_tolerance * peer_mean_;
-      if (target > view.psi(0.0)) threshold = invert_psi(view.psi, target);
+      if (target > spec.psi(0.0)) threshold = invert_psi(spec.psi, target);
     }
     threshold = std::clamp(threshold, 0.05 * domain, domain);
-    contracts[i] = threshold_contract(view.psi, threshold, price(chosen));
+    contracts[i] = threshold_contract(spec.psi, threshold, price(chosen));
     learner.pending = static_cast<std::uint32_t>(chosen);
   }
   return true;

@@ -5,14 +5,16 @@
 // incentives are *known* (fit offline from logged traces); the related work
 // drops that assumption and learns contracts online. A Policy closes the
 // loop either way: each round the caller hands it what the requester
-// currently believes about every worker (WorkerView), the policy posts the
-// next round's per-worker contracts, and — for the learning backends — it
-// is fed the realized outcomes (RoundOutcome) to update its learner state.
+// currently believes about every worker — the contract::SubproblemSpec that
+// core::RequesterState builds, with weight 0 for a worker that must get no
+// contract — the policy posts the next round's per-worker contracts, and —
+// for the learning backends — it is fed the realized outcomes
+// (RoundOutcome) to update its learner state.
 //
 // Three backends:
 //
 //  * BipPolicy — the paper baseline. On each redesign round it solves the
-//    bilevel program for the views as given with contract::design_fleet
+//    bilevel program for the specs as given with contract::design_fleet
 //    through the caller's DesignCache, and copies each worker's contract
 //    out of its class table (FleetDesignResult::contract_at). Stateless;
 //    bitwise-identical to the pre-policy simulator.
@@ -38,7 +40,7 @@
 // Tie-breaks are by lowest index, never by address or hash order, so a run
 // is bitwise-reproducible across thread counts and kill/resume. Learner
 // state is serialized by save_state()/load_state() at round boundaries and
-// rides the SCKP v3 / ISES v3 checkpoint frames; a posted-but-unobserved
+// rides the SCKP v4 / ISES v4 checkpoint frames; a posted-but-unobserved
 // arm (the ingest flow checkpoints right after posting) is part of that
 // state, so a resumed learner still credits it on the next observe().
 #pragma once
@@ -51,6 +53,7 @@
 
 #include "contract/contract.hpp"
 #include "contract/design_cache.hpp"
+#include "contract/designer.hpp"
 #include "effort/effort_model.hpp"
 #include "util/rng.hpp"
 
@@ -73,8 +76,8 @@ const char* to_string(Kind kind);
 Kind kind_from_string(const std::string& name);
 
 /// Backend selection plus the learning backends' knobs. A value member of
-/// core::SimConfig; serialized into SCKP v3 config sections and the CSRV
-/// open frame, so field changes require a version bump there.
+/// core::SimConfig; serialized by core::encode_policy_config into SCKP and
+/// ISES checkpoints, so field changes require a version bump there.
 struct PolicyConfig {
   Kind kind = Kind::kBip;
   /// Largest per-round payment a learned arm may promise (the learners'
@@ -92,20 +95,6 @@ struct PolicyConfig {
   double peer_tolerance = 0.75;
 
   void validate() const;  ///< throws ccd::ConfigError
-};
-
-/// What the requester currently believes about one worker — everything a
-/// backend may condition on. The simulator fills these from its running
-/// estimates (EMA accuracy/maliciousness, Eq. 5 weight), exactly as the
-/// inline redesign block did pre-policy.
-struct WorkerView {
-  effort::QuadraticEffort psi{-1.0, 8.0, 2.0};
-  double beta = 1.0;
-  double omega = 0.0;   ///< attributed influence weight (0 = trusted honest)
-  double weight = 1.0;  ///< Eq. 5 feedback weight (<= 0 excludes the worker)
-  double mu = 1.0;
-  std::size_t intervals = 20;
-  bool active = true;  ///< false = churned out this round (no contract)
 };
 
 /// Realized outcome of one round for one worker, fed back to learning
@@ -136,17 +125,18 @@ class Policy {
   virtual bool learns() const = 0;
 
   /// Post round `round`'s contracts: overwrite `contracts` (sized to
-  /// `views`) in place. `redesign` is true on the caller's redesign
-  /// cadence (BiP only re-solves then; the learners post fresh arms every
-  /// round). Returns false iff cancelled mid-solve via env.cancel — the
+  /// `specs`) in place. A spec with weight <= 0 (an excluded or churned-out
+  /// worker) gets the zero contract. `redesign` is true on the caller's
+  /// redesign cadence (BiP only re-solves then; the learners post fresh
+  /// arms every round). Returns false iff cancelled mid-solve via env.cancel — the
   /// caller then discards the round, exactly like the pre-policy batch.
   virtual bool post(std::size_t round, bool redesign,
-                    const std::vector<WorkerView>& views,
+                    const std::vector<contract::SubproblemSpec>& specs,
                     std::vector<contract::Contract>& contracts, util::Rng& rng,
                     const PostEnv& env) = 0;
 
   /// Feed the realized outcomes of round `round` (same indexing as the
-  /// views passed to post). Only called when learns() is true.
+  /// specs passed to post). Only called when learns() is true.
   virtual void observe(std::size_t round,
                        const std::vector<RoundOutcome>& outcomes,
                        util::Rng& rng) = 0;
@@ -187,7 +177,7 @@ class BipPolicy final : public Policy {
   Kind kind() const override { return Kind::kBip; }
   bool learns() const override { return false; }
   bool post(std::size_t round, bool redesign,
-            const std::vector<WorkerView>& views,
+            const std::vector<contract::SubproblemSpec>& specs,
             std::vector<contract::Contract>& contracts, util::Rng& rng,
             const PostEnv& env) override;
   void observe(std::size_t round, const std::vector<RoundOutcome>& outcomes,
@@ -203,7 +193,7 @@ class ZoomingBanditPolicy final : public Policy {
   Kind kind() const override { return Kind::kZoomingBandit; }
   bool learns() const override { return true; }
   bool post(std::size_t round, bool redesign,
-            const std::vector<WorkerView>& views,
+            const std::vector<contract::SubproblemSpec>& specs,
             std::vector<contract::Contract>& contracts, util::Rng& rng,
             const PostEnv& env) override;
   void observe(std::size_t round, const std::vector<RoundOutcome>& outcomes,
@@ -246,7 +236,7 @@ class PostedPricePolicy final : public Policy {
   Kind kind() const override { return Kind::kPostedPrice; }
   bool learns() const override { return true; }
   bool post(std::size_t round, bool redesign,
-            const std::vector<WorkerView>& views,
+            const std::vector<contract::SubproblemSpec>& specs,
             std::vector<contract::Contract>& contracts, util::Rng& rng,
             const PostEnv& env) override;
   void observe(std::size_t round, const std::vector<RoundOutcome>& outcomes,

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <utility>
 
-#include "contract/fleet_soa.hpp"
 #include "core/checkpoint.hpp"
 #include "core/requester.hpp"
 #include "effort/fitting.hpp"
@@ -88,15 +87,13 @@ bool valid_session_id(const std::string& id) {
   return true;
 }
 
-/// Ingest-mode dynamic state. The estimate updates are the simulator's
-/// requester verbatim (EMA accuracy, sigmoid maliciousness signal); the
-/// effort curves start at the library default and are re-fit from the
-/// observed sample window.
+/// Ingest-mode dynamic state. The estimates are the simulator's
+/// core::RequesterState; the effort curves start at the library default and
+/// are re-fit from the observed sample window.
 struct Session::IngestState {
-  /// v3: snapshot frame + journal records (session.hpp). The snapshot
-  /// payload carries the contract-designer policy section (backend config,
-  /// opaque learner state, learner RNG). Only v3 decodes.
-  static constexpr std::uint32_t kVersion = 3;
+  /// v4: snapshot frame + journal records (session.hpp); the snapshot
+  /// carries the RequesterState section SCKP also carries. Only v4 decodes.
+  static constexpr std::uint32_t kVersion = 4;
   /// Journaled rounds after which the next durable point writes a full
   /// snapshot instead of a record: bounds file size and restore replay.
   static constexpr std::uint64_t kJournalRounds = 32;
@@ -104,25 +101,21 @@ struct Session::IngestState {
   /// bounds session memory no matter how long the campaign runs.
   static constexpr std::size_t kSampleWindow = 256;
 
-  core::RequesterConfig requester;
-  double ema_alpha = 0.3;
+  core::RequesterState requester;
   std::size_t refit_every = 4;
-  double suspicion_threshold = 0.5;
   std::uint64_t rounds_budget = 0;  ///< 0 = unbounded
   std::uint64_t round = 0;
   double cumulative_requester_utility = 0.0;
 
-  std::vector<double> est_accuracy;
-  std::vector<double> est_malicious;
   std::vector<effort::QuadraticEffort> psi;
   std::vector<std::vector<data::EffortSample>> samples;
   std::vector<contract::Contract> contracts;
 
-  /// Contract-designer backend. BiP keeps the historical refit-boundary
-  /// redesign path; learners post fresh contracts every ingested round and
-  /// observe every round's rewards. The RNG exists purely for the Policy
-  /// interface's RNG discipline (current learners draw nothing) and is
-  /// checkpointed so any future drawing backend stays resume-safe.
+  /// Contract-designer backend. BiP posts on refit rounds only; learners
+  /// post fresh contracts every ingested round and observe every round's
+  /// rewards. The RNG exists purely for the Policy interface's RNG
+  /// discipline (current learners draw nothing) and is checkpointed so any
+  /// future drawing backend stays resume-safe.
   policy::PolicyConfig policy_config;
   std::unique_ptr<policy::Policy> policy;
   util::Rng rng{1};
@@ -137,7 +130,7 @@ struct Session::IngestState {
   /// a round since has no faithful replay.
   bool snapshot_due = true;
 
-  std::size_t workers() const { return est_accuracy.size(); }
+  std::size_t workers() const { return requester.workers(); }
   bool finished() const { return rounds_budget > 0 && round >= rounds_budget; }
 };
 
@@ -178,16 +171,13 @@ Session::Session(std::string id, const OpenParams& params, Env env)
       throw ConfigError("ingest session needs refit_every >= 1");
     }
     ingest_ = std::make_unique<IngestState>();
-    ingest_->requester.mu = params.mu;
-    ingest_->requester.validate();
-    ingest_->ema_alpha = params.ema_alpha;
-    CCD_CHECK_MSG(ingest_->ema_alpha > 0.0 && ingest_->ema_alpha <= 1.0,
-                  "ema_alpha must be in (0, 1]");
+    core::RequesterConfig requester;
+    requester.mu = params.mu;
+    const std::size_t n = params.workers;
+    ingest_->requester = core::RequesterState(
+        requester, params.ema_alpha, /*suspicion_threshold=*/0.5, n);
     ingest_->refit_every = params.refit_every;
     ingest_->rounds_budget = params.rounds;
-    const std::size_t n = params.workers;
-    ingest_->est_accuracy.assign(n, ingest_->requester.accuracy_floor);
-    ingest_->est_malicious.assign(n, 0.05);
     ingest_->psi.assign(n, effort::QuadraticEffort(-1.0, 8.0, 2.0));
     ingest_->samples.assign(n, {});
     ingest_->contracts.assign(n, contract::Contract{});
@@ -297,45 +287,31 @@ Session::Step Session::ingest_step(
       window.erase(window.begin());
     }
 
-    // Requester-side estimation, exactly as in the simulator (EMA over
-    // the accuracy sample; sigmoid deviation signal for maliciousness).
-    state.est_accuracy[i] = (1.0 - state.ema_alpha) * state.est_accuracy[i] +
-                            state.ema_alpha * obs.accuracy_sample;
-    const double signal =
-        1.0 / (1.0 + std::exp(-4.0 * (obs.accuracy_sample - 0.9)));
-    state.est_malicious[i] = (1.0 - state.ema_alpha) * state.est_malicious[i] +
-                             state.ema_alpha * signal;
-
-    const double weight =
-        core::feedback_weight(state.requester, state.est_accuracy[i],
-                              state.est_malicious[i], 0);
+    // Requester-side estimation: the simulator's estimator. The reward
+    // below uses the weight after this round's update.
+    state.requester.observe(i, obs.accuracy_sample);
+    const double weight = state.requester.weight(i, 0);
     weighted_feedback += weight * obs.feedback;
     total_pay += state.contracts[i].pay(obs.feedback);
     if (learner) {
       outcomes[i].active = true;
       outcomes[i].feedback = obs.feedback;
       outcomes[i].reward = weight * obs.feedback -
-                           state.requester.mu *
+                           state.requester.config().mu *
                                state.contracts[i].pay(obs.feedback);
     }
   }
   if (learner) state.policy->observe(state.round, outcomes, state.rng);
   state.cumulative_requester_utility +=
-      weighted_feedback - state.requester.mu * total_pay;
+      weighted_feedback - state.requester.config().mu * total_pay;
   state.round += 1;
 
+  // BiP redesigns from the re-fit curves on refit rounds only; learners
+  // post fresh arms every round and pick the re-fit curves up there.
   Step step;
-  if (state.round % state.refit_every == 0) {
-    if (learner) {
-      // Learners consume the re-fit effort curves through their next
-      // post(); the BiP redesign below would overwrite their arms.
-      ingest_refit();
-    } else {
-      step.redesigned = ingest_redesign(cancel);
-      step.cut_short = !step.redesigned;
-    }
-  }
-  if (learner) {
+  const bool refit = state.round % state.refit_every == 0;
+  if (refit) ingest_refit();
+  if (refit || learner) {
     step.redesigned = ingest_post(cancel);
     step.cut_short = !step.redesigned;
   }
@@ -390,68 +366,22 @@ void Session::ingest_refit() {
   }
 }
 
-bool Session::ingest_redesign(const util::CancellationToken* cancel) {
-  ingest_refit();
-  IngestState& state = *ingest_;
-  const std::size_t n = state.workers();
-
-  std::vector<contract::SubproblemSpec> specs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contract::SubproblemSpec& spec = specs[i];
-    spec.psi = state.psi[i];
-    spec.incentives.beta = state.requester.beta;
-    spec.incentives.omega =
-        state.est_malicious[i] >= state.suspicion_threshold
-            ? state.requester.omega_malicious
-            : 0.0;
-    spec.weight = core::feedback_weight(state.requester, state.est_accuracy[i],
-                                        state.est_malicious[i], 0);
-    spec.mu = state.requester.mu;
-    spec.intervals = state.requester.intervals;
-  }
-  // Every refit yields a distinct psi per worker, so a cache kept across
-  // redesigns would only grow; the design uses a private one per call.
-  const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
-  contract::FleetOptions options;
-  options.cancel = cancel;
-  const contract::FleetDesignResult designed =
-      contract::design_fleet(fleet, options);
-  designed.rethrow_first_error();
-  if (cancel != nullptr && cancel->cancelled()) {
-    // Cut short: keep the previous contracts posted; the next refit round
-    // redesigns from scratch.
-    return false;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    CCD_CHECK_MSG(designed.resolved[i] != 0,
-                  "redesign batch left a worker unsolved");
-    state.contracts[i] = designed.contract_at(fleet, i);
-  }
-  return true;
-}
-
 bool Session::ingest_post(const util::CancellationToken* cancel) {
   IngestState& state = *ingest_;
   const std::size_t n = state.workers();
-  std::vector<policy::WorkerView> views(n);
+  std::vector<contract::SubproblemSpec> specs;
+  specs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    policy::WorkerView& view = views[i];
-    view.psi = state.psi[i];
-    view.beta = state.requester.beta;
-    view.omega = state.est_malicious[i] >= state.suspicion_threshold
-                     ? state.requester.omega_malicious
-                     : 0.0;
-    view.weight = core::feedback_weight(state.requester, state.est_accuracy[i],
-                                        state.est_malicious[i], 0);
-    view.mu = state.requester.mu;
-    view.intervals = state.requester.intervals;
-    view.active = true;
+    specs.push_back(state.requester.spec(i, state.psi[i],
+                                         state.requester.config().beta, 0));
   }
+  // No pool and no cache: every refit yields a distinct psi per worker, so
+  // a cache kept across posts would only grow; BiP designs with a private
+  // one per call. A cancelled post keeps the previous contracts; BiP
+  // redesigns on the next refit round, a learner re-posts next round.
   policy::PostEnv env;
   env.cancel = cancel;
-  // A cancelled post keeps the previous contracts; the learner re-posts on
-  // the next ingested round.
-  return state.policy->post(state.round, true, views, state.contracts,
+  return state.policy->post(state.round, true, specs, state.contracts,
                             state.rng, env);
 }
 
@@ -482,23 +412,9 @@ void Session::ingest_snapshot() {
   w.u64(state.round);
   w.u64(state.rounds_budget);
   w.f64(state.cumulative_requester_utility);
-  w.f64(state.ema_alpha);
   w.u64(state.refit_every);
-  w.f64(state.suspicion_threshold);
-  w.f64(state.requester.rho);
-  w.f64(state.requester.kappa);
-  w.f64(state.requester.gamma);
-  w.f64(state.requester.mu);
-  w.f64(state.requester.beta);
-  w.f64(state.requester.omega_malicious);
-  w.u64(state.requester.intervals);
-  w.f64(state.requester.accuracy_floor);
-  w.f64(state.requester.weight_cap);
-  const std::size_t n = state.workers();
-  w.u64(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    w.f64(state.est_accuracy[i]);
-    w.f64(state.est_malicious[i]);
+  state.requester.encode(w);
+  for (std::size_t i = 0; i < state.workers(); ++i) {
     w.f64(state.psi[i].r2());
     w.f64(state.psi[i].r1());
     w.f64(state.psi[i].r0());
@@ -510,18 +426,9 @@ void Session::ingest_snapshot() {
     }
     core::encode_contract(w, state.contracts[i]);
   }
-  // The contract-designer policy section.
-  w.u8(static_cast<std::uint8_t>(state.policy_config.kind));
-  w.f64(state.policy_config.payment_cap);
-  w.f64(state.policy_config.zoom_confidence);
-  w.u64(state.policy_config.zoom_max_depth);
-  w.u64(state.policy_config.price_levels);
-  w.f64(state.policy_config.peer_tolerance);
+  core::encode_policy_config(w, state.policy_config);
   w.str(state.policy->save_state());
-  const util::RngState rng_state = state.rng.state();
-  for (const std::uint64_t word : rng_state.words) w.u64(word);
-  w.u8(rng_state.has_cached_normal ? 1 : 0);
-  w.f64(rng_state.cached_normal);
+  core::encode_rng_state(w, state.rng.state());
   const std::string frame =
       util::wire::encode_frame(kIngestTag, IngestState::kVersion, w.take());
   util::atomic_write_file(checkpoint_path(), frame);
@@ -652,25 +559,13 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
     state->round = r.u64();
     state->rounds_budget = r.u64();
     state->cumulative_requester_utility = r.f64();
-    state->ema_alpha = r.f64();
     state->refit_every = r.u64();
-    state->suspicion_threshold = r.f64();
-    state->requester.rho = r.f64();
-    state->requester.kappa = r.f64();
-    state->requester.gamma = r.f64();
-    state->requester.mu = r.f64();
-    state->requester.beta = r.f64();
-    state->requester.omega_malicious = r.f64();
-    state->requester.intervals = r.u64();
-    state->requester.accuracy_floor = r.f64();
-    state->requester.weight_cap = r.f64();
-    const std::size_t n = r.count(48);
-    CCD_CHECK_MSG(n >= 1, "ingest checkpoint has no workers");
     CCD_CHECK_MSG(state->refit_every >= 1,
                   "ingest checkpoint refit_every must be >= 1");
+    state->requester = core::RequesterState::decode(r);
+    const std::size_t n = state->requester.workers();
+    CCD_CHECK_MSG(n >= 1, "ingest checkpoint has no workers");
     for (std::size_t i = 0; i < n; ++i) {
-      state->est_accuracy.push_back(r.f64());
-      state->est_malicious.push_back(r.f64());
       const double r2 = r.f64();
       const double r1 = r.f64();
       const double r0 = r.f64();
@@ -689,24 +584,10 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
       state->samples.push_back(std::move(window));
       state->contracts.push_back(core::decode_contract(r));
     }
-    const std::uint8_t raw_kind = r.u8();
-    CCD_CHECK_MSG(
-        raw_kind <= static_cast<std::uint8_t>(policy::Kind::kPostedPrice),
-        "ingest checkpoint names an unknown policy backend");
-    state->policy_config.kind = static_cast<policy::Kind>(raw_kind);
-    state->policy_config.payment_cap = r.f64();
-    state->policy_config.zoom_confidence = r.f64();
-    state->policy_config.zoom_max_depth = r.u64();
-    state->policy_config.price_levels = r.u64();
-    state->policy_config.peer_tolerance = r.f64();
+    state->policy_config = core::decode_policy_config(r);
     const std::string policy_state = r.str();
-    util::RngState rng_state;
-    for (std::uint64_t& word : rng_state.words) word = r.u64();
-    rng_state.has_cached_normal = r.u8() != 0;
-    rng_state.cached_normal = r.f64();
+    const util::RngState rng_state = core::decode_rng_state(r);
     r.finish();
-    state->requester.validate();
-    state->policy_config.validate();
     state->policy = policy::make_policy(state->policy_config);
     state->policy->load_state(policy_state);
     state->rng.set_state(rng_state);
@@ -740,8 +621,8 @@ std::unique_ptr<Session> Session::restore_blob(const std::string& id,
     throw DataError("checkpoint blob has unknown frame tag '" + tag + "'");
   }
   const util::wire::FrameHeader header = util::wire::decode_frame_header(
-      blob, tag, core::SimCheckpoint::kMinReadVersion,
-      core::SimCheckpoint::kVersion, blob.size(), "checkpoint blob");
+      blob, tag, core::SimCheckpoint::kVersion, core::SimCheckpoint::kVersion,
+      blob.size(), "checkpoint blob");
   if (blob.size() != util::wire::kFrameHeaderSize + header.payload_size) {
     throw DataError("checkpoint blob size mismatch (header announces " +
                     std::to_string(header.payload_size) + " payload bytes, " +
@@ -753,8 +634,7 @@ std::unique_ptr<Session> Session::restore_blob(const std::string& id,
 
   auto session = std::unique_ptr<Session>(
       new Session(id, std::move(env), SessionMode::kSimulation));
-  core::SimCheckpoint checkpoint =
-      core::decode_checkpoint(payload, header.version);
+  core::SimCheckpoint checkpoint = core::decode_checkpoint(payload);
   checkpoint.config.checkpoint_path = checkpoint_file(
       session->env_.checkpoint_dir, id, SessionMode::kSimulation);
   checkpoint.config.checkpoint_every =

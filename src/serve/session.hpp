@@ -10,14 +10,15 @@
 //    seed (tested end-to-end over the socket).
 //  * Ingest sessions are fed observed per-round feedback
 //    (effort, feedback, accuracy sample) per worker. The session keeps
-//    EMA estimates of accuracy/maliciousness exactly like the simulator's
-//    requester, accumulates a bounded sliding window of effort samples,
-//    re-fits each worker's effort curve (effort::fit_effort_function)
-//    every `refit_every` rounds, and re-designs all contracts through
-//    contract::design_fleet (one k-sweep per distinct fitted curve, on
-//    util::shared_pool() when there are two or more) with a private design
-//    cache per redesign, copying each posted contract out of its class
-//    table.
+//    the simulator's estimator (core::RequesterState: EMA estimates of
+//    accuracy/maliciousness), accumulates a bounded sliding window of
+//    effort samples, and re-fits each worker's effort curve
+//    (effort::fit_effort_function) every `refit_every` rounds. Contracts
+//    are posted by the session's policy backend through one call,
+//    ingest_post: BiP on refit rounds (contract::design_fleet, one k-sweep
+//    per distinct fitted curve, on util::shared_pool() when there are two
+//    or more, with a private design cache per call), learners every
+//    round.
 //
 // Durability: when a checkpoint directory is configured every
 // `checkpoint_every`-th completed round is durable before it is
@@ -26,8 +27,13 @@
 // "SCKP", one atomic rewrite per durable round). Ingest sessions keep one
 // file, `<id>.ingest.ckpt`, laid out as a journal:
 //
-//   [CCDF frame "ISES" v3: full snapshot of the session state]
-//   [CCDF frame "ISJR" v3: journal record] ...
+//   [CCDF frame "ISES" v4: full snapshot of the session state]
+//   [CCDF frame "ISJR" v4: journal record] ...
+//
+// The snapshot holds the round counters, the RequesterState section (the
+// one SCKP also carries), each worker's effort curve, sample window and
+// contract, then the policy config, learner state and RNG. Only v4
+// decodes.
 //
 // A record holds (first round, workers, rounds) and then rounds × workers
 // observations (effort, feedback, accuracy sample; 24 bytes each) — the
@@ -168,7 +174,6 @@ class Session {
   void ingest_durable_point();
   void ingest_snapshot();
   void ingest_refit();
-  bool ingest_redesign(const util::CancellationToken* cancel);
   bool ingest_post(const util::CancellationToken* cancel);
   /// The one ingest image decoder (files and blobs): snapshot frame, then
   /// journal replay. Returns true when the image was not a bare snapshot

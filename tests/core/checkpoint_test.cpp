@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/stackelberg.hpp"
+#include "serve/session.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancellation.hpp"
 #include "util/error.hpp"
@@ -185,42 +186,54 @@ TEST_F(CheckpointTest, PolicyStateSurvivesEncodeDecode) {
   EXPECT_EQ(b.policy_state, a.policy_state);
 }
 
-TEST_F(CheckpointTest, V2PayloadRestoresWithDefaultBipBackend) {
-  // A pre-policy (v2) checkpoint must still load: default BiP backend,
-  // empty learner state, everything else intact.
-  SimConfig config = base_config(6);
-  config.checkpoint_every = 6;
-  config.checkpoint_path = path_;
-  StackelbergSimulator(fleet(), config).run();
-  const SimCheckpoint a = load_checkpoint(path_);
-
-  const std::string v2 = encode_checkpoint(a, 2);
-  const SimCheckpoint b = decode_checkpoint(v2, 2);
-  EXPECT_EQ(b.config.policy.kind, policy::Kind::kBip);
-  EXPECT_TRUE(b.policy_state.empty());
-  EXPECT_EQ(b.next_round, a.next_round);
-  EXPECT_EQ(b.rng.words, a.rng.words);
-  expect_bitwise_equal(a.history, b.history);
-
-  // And resuming from it runs to completion like the v3 original.
-  SimCheckpoint resumed_from_v2 = b;
-  resumed_from_v2.config.rounds = 12;
-  SimCheckpoint resumed_from_v3 = a;
-  resumed_from_v3.config.rounds = 12;
-  expect_bitwise_equal(StackelbergSimulator(resumed_from_v2).run(),
-                       StackelbergSimulator(resumed_from_v3).run());
+TEST(PolicyConfigCodecTest, RoundTripsAndRefusesAnUnknownBackendKind) {
+  policy::PolicyConfig config;
+  config.kind = policy::Kind::kPostedPrice;
+  config.payment_cap = 7.5;
+  config.zoom_max_depth = 9;
+  util::wire::Writer w;
+  encode_policy_config(w, config);
+  std::string bytes = w.take();
+  {
+    util::wire::Reader r(bytes);
+    const policy::PolicyConfig back = decode_policy_config(r);
+    r.finish();
+    EXPECT_EQ(back.kind, config.kind);
+    EXPECT_EQ(back.payment_cap, config.payment_cap);
+    EXPECT_EQ(back.zoom_confidence, config.zoom_confidence);
+    EXPECT_EQ(back.zoom_max_depth, config.zoom_max_depth);
+    EXPECT_EQ(back.price_levels, config.price_levels);
+    EXPECT_EQ(back.peer_tolerance, config.peer_tolerance);
+  }
+  bytes[0] = 3;  // one past kPostedPrice
+  util::wire::Reader r(bytes);
+  EXPECT_THROW(decode_policy_config(r), DataError);
 }
 
-TEST_F(CheckpointTest, V2EncodingRefusesToDropLearnerState) {
-  // Downgrading a learner checkpoint to v2 would silently lose the arm
-  // statistics; the encoder must refuse.
+TEST_F(CheckpointTest, V3FileAndBlobAreRefusedByVersion) {
+  // Only the current layout decodes: a v3 frame (before the requester
+  // section) is refused by its version, whether it is loaded from a file or
+  // handed over as a failover blob.
   SimConfig config = base_config(4);
-  config.policy.kind = policy::Kind::kPostedPrice;
   config.checkpoint_every = 4;
   config.checkpoint_path = path_;
   StackelbergSimulator(fleet(), config).run();
-  const SimCheckpoint learner = load_checkpoint(path_);
-  EXPECT_THROW(encode_checkpoint(learner, 2), Error);
+  std::string v3 = util::read_file(path_);
+  ASSERT_EQ(v3[8], static_cast<char>(SimCheckpoint::kVersion));
+  v3[8] = 3;
+
+  util::RetryPolicy fast;
+  fast.max_attempts = 1;
+  {
+    SCOPED_TRACE("SCKP v3 file");
+    std::ofstream(path_, std::ios::binary | std::ios::trunc) << v3;
+    EXPECT_THROW(load_checkpoint(path_, fast), DataError);
+  }
+  {
+    SCOPED_TRACE("SCKP v3 blob");
+    EXPECT_THROW(serve::Session::restore_blob("s", v3, serve::Session::Env{}),
+                 DataError);
+  }
 }
 
 TEST_F(CheckpointTest, ResumeAcrossThreadCountsIsBitwiseIdentical) {

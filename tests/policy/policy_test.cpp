@@ -44,37 +44,22 @@ std::vector<contract::SubproblemSpec> toy_specs() {
   return specs;
 }
 
-std::vector<WorkerView> toy_views() {
-  std::vector<WorkerView> views;
-  for (const contract::SubproblemSpec& spec : toy_specs()) {
-    WorkerView view;
-    view.psi = spec.psi;
-    view.beta = spec.incentives.beta;
-    view.omega = spec.incentives.omega;
-    view.weight = spec.weight;
-    view.mu = spec.mu;
-    view.intervals = spec.intervals;
-    views.push_back(view);
-  }
-  return views;
-}
-
 /// One closed-loop round: exact best responses to the posted contracts,
 /// rewards as the simulator computes them. Returns the fleet utility.
 double play_round(Policy& policy, std::size_t round,
-                  const std::vector<WorkerView>& views,
+                  const std::vector<contract::SubproblemSpec>& specs,
                   std::vector<contract::Contract>& contracts, util::Rng& rng,
                   const PostEnv& env) {
-  EXPECT_TRUE(policy.post(round, true, views, contracts, rng, env));
-  std::vector<RoundOutcome> outcomes(views.size());
+  EXPECT_TRUE(policy.post(round, true, specs, contracts, rng, env));
+  std::vector<RoundOutcome> outcomes(specs.size());
   double total = 0.0;
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     const contract::BestResponse response = contract::best_response(
-        contracts[i], views[i].psi, {views[i].beta, views[i].omega});
+        contracts[i], specs[i].psi, specs[i].incentives);
     outcomes[i].active = true;
     outcomes[i].feedback = response.feedback;
-    outcomes[i].reward = views[i].weight * response.feedback -
-                         views[i].mu * response.compensation;
+    outcomes[i].reward = specs[i].weight * response.feedback -
+                         specs[i].mu * response.compensation;
     total += outcomes[i].reward;
   }
   if (policy.learns()) policy.observe(round, outcomes, rng);
@@ -151,12 +136,12 @@ TEST(BipPolicyTest, MatchesTheBatchDesignerBitwise) {
   contract::DesignCache cache;
   PostEnv env;
   env.cache = &cache;
-  ASSERT_TRUE(bip->post(0, true, toy_views(), contracts, rng, env));
+  ASSERT_TRUE(bip->post(0, true, toy_specs(), contracts, rng, env));
   expect_contracts_bitwise_equal(contracts, expected);
 
   // redesign=false must keep the previous round's contracts untouched.
   std::vector<contract::Contract> kept = contracts;
-  ASSERT_TRUE(bip->post(1, false, toy_views(), kept, rng, env));
+  ASSERT_TRUE(bip->post(1, false, toy_specs(), kept, rng, env));
   expect_contracts_bitwise_equal(kept, expected);
 }
 
@@ -180,15 +165,13 @@ TEST(BipPolicyTest, DesignFailuresThrowTheDesignersErrorClass) {
   contract::DesignCache cache;
   PostEnv env;
   env.cache = &cache;
-  std::vector<contract::Contract> posted(toy_views().size());
-  ASSERT_TRUE(bip->post(0, true, toy_views(), posted, rng, env));
+  std::vector<contract::Contract> posted(toy_specs().size());
+  ASSERT_TRUE(bip->post(0, true, toy_specs(), posted, rng, env));
 
-  std::vector<WorkerView> invalid = toy_views();
+  std::vector<contract::SubproblemSpec> invalid = toy_specs();
   invalid[1].mu = 0.0;
-  contract::SubproblemSpec bad = toy_specs()[1];
-  bad.mu = 0.0;
   const std::type_index expected =
-      thrown_type([&] { contract::design_contract(bad); });
+      thrown_type([&] { contract::design_contract(invalid[1]); });
   ASSERT_NE(expected, std::type_index(typeid(void)));
   std::vector<contract::Contract> contracts = posted;
   EXPECT_EQ(thrown_type([&] {
@@ -206,10 +189,10 @@ TEST(BipPolicyTest, DesignFailuresThrowTheDesignersErrorClass) {
   chaos.site_rates["contract.design"] = 1.0;
   util::FaultInjector::instance().configure(chaos);
   // Cached tables: the fault fires on the inline path.
-  EXPECT_THROW(bip->post(2, true, toy_views(), contracts, rng, env),
+  EXPECT_THROW(bip->post(2, true, toy_specs(), contracts, rng, env),
                ContractError);
   // A private cache: the fault fires in the pool fan-out.
-  EXPECT_THROW(bip->post(3, true, toy_views(), contracts, rng, PostEnv{}),
+  EXPECT_THROW(bip->post(3, true, toy_specs(), contracts, rng, PostEnv{}),
                ContractError);
   util::FaultInjector::instance().disable();
   expect_contracts_bitwise_equal(contracts, posted);
@@ -224,18 +207,18 @@ TEST(BipPolicyTest, CancelledPostReturnsFalseWithoutTouchingContracts) {
   contract::DesignCache cache;
   PostEnv env;
   env.cache = &cache;
-  std::vector<contract::Contract> posted(toy_views().size());
-  ASSERT_TRUE(bip->post(0, true, toy_views(), posted, rng, env));
+  std::vector<contract::Contract> posted(toy_specs().size());
+  ASSERT_TRUE(bip->post(0, true, toy_specs(), posted, rng, env));
 
   util::CancellationToken token;
   token.request_cancel();
   env.cancel = &token;
   std::vector<contract::Contract> contracts = posted;
-  EXPECT_FALSE(bip->post(1, true, toy_views(), contracts, rng, env));
+  EXPECT_FALSE(bip->post(1, true, toy_specs(), contracts, rng, env));
   expect_contracts_bitwise_equal(contracts, posted);
   PostEnv uncached;
   uncached.cancel = &token;
-  EXPECT_FALSE(bip->post(2, true, toy_views(), contracts, rng, uncached));
+  EXPECT_FALSE(bip->post(2, true, toy_specs(), contracts, rng, uncached));
   expect_contracts_bitwise_equal(contracts, posted);
 }
 
@@ -283,8 +266,8 @@ TEST_P(LearnerPolicyTest, LearningImprovesOnAStationaryFleet) {
   PolicyConfig config;
   config.kind = GetParam();
   const std::unique_ptr<Policy> learner = make_policy(config);
-  const std::vector<WorkerView> views = toy_views();
-  std::vector<contract::Contract> contracts(views.size());
+  const std::vector<contract::SubproblemSpec> specs = toy_specs();
+  std::vector<contract::Contract> contracts(specs.size());
   util::Rng rng(11);
   const PostEnv env;
 
@@ -294,7 +277,7 @@ TEST_P(LearnerPolicyTest, LearningImprovesOnAStationaryFleet) {
   double late = 0.0;
   for (std::size_t t = 0; t < kRounds; ++t) {
     const double utility =
-        play_round(*learner, t, views, contracts, rng, env);
+        play_round(*learner, t, specs, contracts, rng, env);
     if (t < kWindow) early += utility;
     if (t >= kRounds - kWindow) late += utility;
   }
@@ -305,13 +288,13 @@ TEST_P(LearnerPolicyTest, SaveLoadContinuesBitwiseIdentically) {
   PolicyConfig config;
   config.kind = GetParam();
   const std::unique_ptr<Policy> original = make_policy(config);
-  const std::vector<WorkerView> views = toy_views();
-  std::vector<contract::Contract> contracts(views.size());
+  const std::vector<contract::SubproblemSpec> specs = toy_specs();
+  std::vector<contract::Contract> contracts(specs.size());
   util::Rng rng(3);
   const PostEnv env;
 
   for (std::size_t t = 0; t < 60; ++t) {
-    play_round(*original, t, views, contracts, rng, env);
+    play_round(*original, t, specs, contracts, rng, env);
   }
   const std::string state = original->save_state();
   EXPECT_FALSE(state.empty());
@@ -322,13 +305,13 @@ TEST_P(LearnerPolicyTest, SaveLoadContinuesBitwiseIdentically) {
   // Both instances must now post and learn identically, round for round.
   // The learners draw nothing from the Rng, but hand each its own stream
   // anyway to mirror the simulator's calling convention.
-  std::vector<contract::Contract> a(views.size());
-  std::vector<contract::Contract> b(views.size());
+  std::vector<contract::Contract> a(specs.size());
+  std::vector<contract::Contract> b(specs.size());
   util::Rng rng_a(5);
   util::Rng rng_b(5);
   for (std::size_t t = 60; t < 90; ++t) {
-    play_round(*original, t, views, a, rng_a, env);
-    play_round(*restored, t, views, b, rng_b, env);
+    play_round(*original, t, specs, a, rng_a, env);
+    play_round(*restored, t, specs, b, rng_b, env);
     expect_contracts_bitwise_equal(a, b);
   }
   EXPECT_EQ(original->save_state(), restored->save_state());
@@ -345,11 +328,11 @@ TEST_P(LearnerPolicyTest, RejectsForeignOrCorruptState) {
                           ? Kind::kPostedPrice
                           : Kind::kZoomingBandit;
   const std::unique_ptr<Policy> other = make_policy(other_config);
-  const std::vector<WorkerView> views = toy_views();
-  std::vector<contract::Contract> contracts(views.size());
+  const std::vector<contract::SubproblemSpec> specs = toy_specs();
+  std::vector<contract::Contract> contracts(specs.size());
   util::Rng rng(9);
   for (std::size_t t = 0; t < 8; ++t) {
-    play_round(*other, t, views, contracts, rng, {});
+    play_round(*other, t, specs, contracts, rng, {});
   }
   EXPECT_THROW(learner->load_state(other->save_state()), DataError);
   EXPECT_THROW(learner->load_state("garbage"), DataError);
@@ -359,14 +342,15 @@ TEST_P(LearnerPolicyTest, RejectsForeignOrCorruptState) {
 }
 
 TEST_P(LearnerPolicyTest, InactiveWorkersGetZeroContracts) {
+  // A churned-out worker reaches the policy as a spec with weight 0.
   PolicyConfig config;
   config.kind = GetParam();
   const std::unique_ptr<Policy> learner = make_policy(config);
-  std::vector<WorkerView> views = toy_views();
-  views[1].active = false;
-  std::vector<contract::Contract> contracts(views.size());
+  std::vector<contract::SubproblemSpec> specs = toy_specs();
+  specs[1].weight = 0.0;
+  std::vector<contract::Contract> contracts(specs.size());
   util::Rng rng(13);
-  ASSERT_TRUE(learner->post(0, true, views, contracts, rng, {}));
+  ASSERT_TRUE(learner->post(0, true, specs, contracts, rng, {}));
   EXPECT_TRUE(contracts[1].is_zero());
   EXPECT_FALSE(contracts[0].is_zero());
 }

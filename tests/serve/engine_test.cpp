@@ -88,6 +88,7 @@ std::vector<contract::Contract> reference_contracts(std::uint64_t rounds,
   return sim.contracts();
 }
 
+#ifndef CCD_NO_METRICS
 std::uint64_t counter_value(const std::string& name) {
   namespace metrics = util::metrics;
   for (const metrics::MetricSnapshot& m : metrics::registry().snapshot()) {
@@ -95,6 +96,7 @@ std::uint64_t counter_value(const std::string& name) {
   }
   return 0;
 }
+#endif
 
 class EngineTest : public ::testing::Test {
  protected:

@@ -152,10 +152,12 @@ TEST(ScenarioIngestTest, EngineFeedMatchesBareSessionBitwise) {
   EXPECT_EQ(final_status.session.next_round, kRounds);
 
   // Counter reconciliation: every request accounted for, every ingested
-  // round counted.
-  EXPECT_EQ(counter_value("ccd.serve.submitted") - submitted0, issued);
-  EXPECT_EQ(counter_value("ccd.serve.responses") - responses0, issued);
-  EXPECT_EQ(counter_value("ccd.serve.rounds") - rounds0, kRounds);
+  // round counted (a -DCCD_NO_METRICS build has no counters to reconcile).
+  if (util::metrics::compiled_in()) {
+    EXPECT_EQ(counter_value("ccd.serve.submitted") - submitted0, issued);
+    EXPECT_EQ(counter_value("ccd.serve.responses") - responses0, issued);
+    EXPECT_EQ(counter_value("ccd.serve.rounds") - rounds0, kRounds);
+  }
 }
 
 TEST(ScenarioIngestTest, WrongArityFeedIsRefused) {

@@ -123,7 +123,7 @@ std::string journal_record(std::uint64_t first_round,
       w.f64(obs.accuracy_sample);
     }
   }
-  return util::wire::encode_frame("ISJR", 3, w.take());
+  return util::wire::encode_frame("ISJR", 4, w.take());
 }
 
 class IngestJournalTest : public ::testing::Test {
@@ -321,13 +321,17 @@ TEST_F(IngestJournalTest, MisplacedOrMisshapenRecordsAreDataErrors) {
   std::string wrong_tag = last_record;
   wrong_tag.replace(4, 4, "XXXX");
   cases.emplace_back("foreign frame tag", images[kRounds - 1] + wrong_tag);
-  std::string old_version = last_record;
-  old_version[8] = 2;
-  cases.emplace_back("record version 2", images[kRounds - 1] + old_version);
-  // Pre-journal files (ISES v2) are refused by version.
-  std::string v2 = images[0];
-  v2[8] = 2;
-  cases.emplace_back("ISES v2 snapshot", v2);
+  // Earlier layouts are refused by version: ISES v2 predates the journal,
+  // v3 the requester section.
+  for (const char version : {2, 3}) {
+    const std::string v = std::to_string(version);
+    std::string old_record = last_record;
+    old_record[8] = version;
+    cases.emplace_back("record version " + v, images[kRounds - 1] + old_record);
+    std::string old_snapshot = images[0];
+    old_snapshot[8] = version;
+    cases.emplace_back("ISES v" + v + " snapshot", old_snapshot);
+  }
   // A snapshot header announcing more bytes than exist never allocates.
   std::string lying_snapshot = full;
   lying_snapshot.replace(12, 8, std::string(8, '\x7f'));

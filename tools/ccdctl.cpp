@@ -277,26 +277,19 @@ bool is_designer_policy(const std::string& name) {
 /// designed (BiP) utility the learner recovers from scratch.
 void design_policy_refinement(const core::PipelineResult& result,
                               policy::Kind kind) {
-  std::vector<policy::WorkerView> views;
+  std::vector<contract::SubproblemSpec> specs;
   double designed = 0.0;
   for (const core::SubproblemOutcome& sub : result.subproblems) {
     if (sub.design.contract.is_zero()) continue;
-    policy::WorkerView view;
-    view.psi = sub.spec.psi;
-    view.beta = sub.spec.incentives.beta;
-    view.omega = sub.spec.incentives.omega;
-    view.weight = sub.spec.weight;
-    view.mu = sub.spec.mu;
-    view.intervals = sub.spec.intervals;
-    views.push_back(view);
+    specs.push_back(sub.spec);
     designed += sub.design.requester_utility;
   }
-  if (views.empty()) {
+  if (specs.empty()) {
     std::printf("online refinement (%s): no solved subproblems to refine\n",
                 policy::to_string(kind));
     return;
   }
-  const std::size_t n = views.size();
+  const std::size_t n = specs.size();
   policy::PolicyConfig config;
   config.kind = kind;
   const std::unique_ptr<policy::Policy> learner = policy::make_policy(config);
@@ -308,19 +301,16 @@ void design_policy_refinement(const core::PipelineResult& result,
   double late = 0.0;
   for (std::size_t t = 0; t < kRounds; ++t) {
     policy::PostEnv env;
-    learner->post(t, true, views, contracts, rng, env);
+    learner->post(t, true, specs, contracts, rng, env);
     std::vector<policy::RoundOutcome> outcomes(n);
     double round_utility = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      contract::WorkerIncentives inc;
-      inc.beta = views[i].beta;
-      inc.omega = views[i].omega;
-      const contract::BestResponse response =
-          contract::best_response(contracts[i], views[i].psi, inc);
+      const contract::BestResponse response = contract::best_response(
+          contracts[i], specs[i].psi, specs[i].incentives);
       outcomes[i].active = true;
       outcomes[i].feedback = response.feedback;
-      outcomes[i].reward = views[i].weight * response.feedback -
-                           views[i].mu * response.compensation;
+      outcomes[i].reward = specs[i].weight * response.feedback -
+                           specs[i].mu * response.compensation;
       round_utility += outcomes[i].reward;
     }
     learner->observe(t, outcomes, rng);
